@@ -196,7 +196,7 @@ SnapshotWriter::SnapshotWriter(std::ostream &out, const rtl::Netlist &nl)
     : out_(out)
 {
     put(out_, core::kCheckpointMagic);
-    put(out_, kSnapshotVersion);
+    put(out_, core::kCheckpointVersion);
     put(out_, rtl::netlistHash(nl));
 }
 
@@ -258,15 +258,28 @@ SnapshotReader::SnapshotReader(std::istream &in, const rtl::Netlist &nl)
     uint64_t magic = 0;
     uint32_t version = 0;
     uint64_t hash = 0;
+    const uint32_t current = core::kCheckpointVersion;
     if (!get(in_, magic) || magic != core::kCheckpointMagic)
-        fatal("checkpoint: not a v2 snapshot stream (bad magic)");
-    if (!get(in_, version) || version != kSnapshotVersion)
-        fatal("checkpoint: unsupported snapshot version %u", version);
-    if (!get(in_, hash))
+        fatal("checkpoint: no PRNDCKPT header; headerless (v0) "
+              "checkpoints are no longer supported, this build reads "
+              "only version %u", current);
+    if (!get(in_, version) || !get(in_, hash))
         fatal("checkpoint: truncated snapshot envelope");
-    if (hash != rtl::netlistHash(nl))
+    if (version < current)
+        fatal("checkpoint: format version %u is no longer supported "
+              "(the raw-blob versions 0 and 1 were retired); this "
+              "build reads only version %u", version, current);
+    if (version > current)
+        fatal("checkpoint: format version %u is not supported; this "
+              "build reads only version %u", version, current);
+    const uint64_t want = rtl::netlistHash(nl);
+    if (hash != want)
         fatal("checkpoint: snapshot was taken of a different "
-                    "design (netlist hash mismatch)");
+              "design (blob netlist hash %016llx, this design "
+              "%016llx); restore it into an engine built from the "
+              "same design",
+              static_cast<unsigned long long>(hash),
+              static_cast<unsigned long long>(want));
 }
 
 bool

@@ -1,13 +1,15 @@
 /**
  * @file
- * The v2 checkpoint format: versioned, compact, engine-portable
- * snapshots of architectural simulation state.
+ * The checkpoint format: versioned, compact, engine-portable
+ * snapshots of architectural simulation state. This module is the
+ * only reader and writer of checkpoint bytes; engines take part only
+ * through SimEngine::exportArch / importArch.
  *
- * A v2 stream carries the same envelope as v1 —
+ * A stream is the envelope
  *
  *    [8B magic "PRNDCKPT"] [u32 version = 2] [u64 netlist hash]
  *
- * — followed by one or more snapshot *records*. Each record is a
+ * followed by one or more snapshot *records*. Each record is a
  * fixed header (type, sequence number, cycle count, shape, FNV-1a
  * integrity checksums, payload length) plus a bitstream payload:
  *
@@ -15,7 +17,7 @@
  *    is bit-packed into one flat image holding only architectural
  *    width bits — a 33-bit register costs 33 bits per lane, not the
  *    64-bit slot word (and none of the lane-major SoA padding or
- *    combinational slots of the raw v1 engine blob).
+ *    combinational slots an engine holds in memory).
  *  - Record 0 is a keyframe: the packed image itself, word-coded.
  *    Every later record is an XOR delta against the previous record's
  *    image, which is near-all-zero between nearby snapshots and
@@ -25,6 +27,11 @@
  *    the image it deltas against, so corrupted, truncated, or
  *    out-of-order chains are rejected with a clear error instead of
  *    restoring garbage.
+ *
+ * Version 2 is the only format read. Streams without the magic (the
+ * retired headerless v0 blobs) and versions 0 and 1 (the retired raw
+ * engine-layout blobs) are rejected with an error that names the
+ * cut-off.
  *
  * Restoring replays the delta chain from the keyframe to the chosen
  * record (default: the last) and imports the resulting ArchState into
@@ -44,9 +51,6 @@
 #include "rtl/netlist.hh"
 
 namespace parendi::ckpt {
-
-/** The envelope version this module reads and writes. */
-inline constexpr uint32_t kSnapshotVersion = 2;
 
 /** A bit-packed architectural image: only width bits per value, in
  *  netlist order (regs, then mems, then inputs; lane-minor). */
@@ -101,9 +105,10 @@ class SnapshotWriter
 
 /**
  * Read a v2 snapshot chain. Verifies the envelope (magic, version,
- * design hash) at construction; next() decodes one record, applies
- * the delta chain, and yields the architectural state. fatal() on any
- * corruption (bad checksum, truncation, out-of-order delta).
+ * design hash) at construction, rejecting every version but 2; next()
+ * decodes one record, applies the delta chain, and yields the
+ * architectural state. fatal() on any corruption (bad checksum,
+ * truncation, out-of-order delta).
  */
 class SnapshotReader
 {

@@ -102,16 +102,6 @@ class CompiledIpuEngine : public SimEngine
         sim_->machine().peekRegisterInto(reg, out);
     }
     bool
-    saveState(std::ostream &out) const override
-    {
-        return sim_->machine().saveState(out);
-    }
-    bool
-    restoreState(std::istream &in) override
-    {
-        return sim_->machine().restoreState(in);
-    }
-    bool
     exportArch(ArchState &out) const override
     {
         return sim_->machine().exportArch(out);

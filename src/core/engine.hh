@@ -20,7 +20,6 @@
 #define PARENDI_CORE_ENGINE_HH
 
 #include <cstdint>
-#include <iosfwd>
 #include <memory>
 #include <string>
 #include <vector>
@@ -230,34 +229,12 @@ class SimEngine
     }
 
     /**
-     * Serialize all mutable simulation state (including the cycle
-     * count) as a raw, headerless blob; restoreState() reads it back
-     * on an engine built from the same design. Returns false when the
-     * engine has no checkpoint support (the default; the event
-     * engine). Hosts should prefer core::saveCheckpoint /
-     * core::restoreCheckpoint (core/session.hh), which wrap the blob
-     * in a versioned, design-hash-stamped header.
-     */
-    virtual bool
-    saveState(std::ostream &out) const
-    {
-        (void)out;
-        return false;
-    }
-
-    virtual bool
-    restoreState(std::istream &in)
-    {
-        (void)in;
-        return false;
-    }
-
-    /**
-     * Export the canonical architectural state (see ArchState) —
-     * the engine-portable alternative to saveState's raw blob, and
-     * what the v2 checkpoint format (src/ckpt) serializes. Returns
-     * false when the engine has no architectural view (the default;
-     * the event engine).
+     * Export the canonical architectural state (see ArchState) — the
+     * engine's only checkpoint surface: the v2 checkpoint format
+     * (src/ckpt, written by core::saveCheckpoint) serializes exactly
+     * this. Returns false when the engine has no architectural view
+     * (the default; the event engine, which therefore cannot be
+     * checkpointed).
      */
     virtual bool
     exportArch(ArchState &out) const

@@ -29,7 +29,6 @@
 #define PARENDI_IPU_MACHINE_HH
 
 #include <cstdint>
-#include <iosfwd>
 #include <memory>
 #include <string>
 #include <vector>
@@ -76,13 +75,6 @@ struct MachineOptions
      *  this trivially safe: tiles only touch private state between
      *  barriers). 0 = sequential execution. */
     uint32_t hostThreads = 0;
-
-    /** Run hostThreads on a persistent BspPool spanning all four BSP
-     *  phases of the cycle (the default). When false, the legacy
-     *  host execution is used: threads are spawned per compute phase
-     *  and the exchange phases run sequentially — kept as the A/B
-     *  baseline for bench/host_throughput. */
-    bool persistentPool = true;
 
     /** Pooled host path: fused single-barrier supersteps (default)
      *  vs the 4-barrier phased sequence. Bit-identical either way. */
@@ -143,25 +135,6 @@ class IpuMachine : public core::SimEngine
     void peekRegisterInto(const std::string &reg,
                           rtl::BitVec &out) const override;
 
-    /** Checkpoint the state of every tile (plus the cycle count). */
-    void save(std::ostream &out) const;
-    /** Restore a checkpoint from the same compiled configuration. */
-    void restore(std::istream &in);
-
-    /** Engine-agnostic checkpointing (see SimEngine). */
-    bool
-    saveState(std::ostream &out) const override
-    {
-        save(out);
-        return true;
-    }
-    bool
-    restoreState(std::istream &in) override
-    {
-        restore(in);
-        return true;
-    }
-
     /** Canonical architectural state (see SimEngine / src/ckpt). */
     bool
     exportArch(core::ArchState &out) const override
@@ -179,7 +152,7 @@ class IpuMachine : public core::SimEngine
     }
 
     /** Attach an obs::SuperstepProfiler to the functional execution
-     *  (pool-driven or legacy spawn path) and register it as the
+     *  (pooled or single-worker) and register it as the
      *  pool's barrier-wait observer. Always succeeds. */
     bool enableProfiling(const obs::ProfileOptions &opt =
                              obs::ProfileOptions{}) override;
@@ -215,9 +188,6 @@ class IpuMachine : public core::SimEngine
                     const partition::Partitioning &parts);
     void accountCosts(const fiber::FiberSet &fs,
                       const partition::Partitioning &parts);
-    /** Legacy compute phase: spawn hostThreads workers for this phase
-     *  only (the persistentPool=false baseline). */
-    void evalAllSpawn();
 
     const rtl::Netlist &nl;
     IpuArch arch;
@@ -226,7 +196,7 @@ class IpuMachine : public core::SimEngine
     std::vector<Tile> tiles;
     uint32_t chipsUsed_ = 1;
     /** opt.hostThreads clamped to tiles and host concurrency (or the
-     *  explicit maxHostWorkers cap); both host paths honor it. */
+     *  explicit maxHostWorkers cap); >= 2 gets a pool. */
     uint32_t hostWorkers_ = 0;
 
     rtl::ShardSet shards;
@@ -234,7 +204,7 @@ class IpuMachine : public core::SimEngine
     // the profiler, so the pool (destroyed first, in reverse member
     // order) must never outlive it.
     std::unique_ptr<obs::SuperstepProfiler> profiler_;
-    std::unique_ptr<util::BspPool> pool;    ///< null -> sequential/legacy
+    std::unique_ptr<util::BspPool> pool;    ///< null -> one worker
 
     CycleCosts costs;
     ExchangeTraffic traffic_;

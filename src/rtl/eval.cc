@@ -1,9 +1,8 @@
 #include "rtl/eval.hh"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
-#include <istream>
-#include <ostream>
 
 #include "rtl/analysis.hh"
 #include "util/logging.hh"
@@ -780,8 +779,10 @@ EvalState::enableActivity(bool on)
 void
 EvalState::markAllDirty()
 {
+    // std::fill, not memset: a program with no groups has an empty
+    // (null-data) map, and memset(nullptr, ..., 0) is undefined.
     if (activity_)
-        std::memset(dirty_.data(), 1, dirty_.size());
+        std::fill(dirty_.begin(), dirty_.end(), uint8_t{1});
 }
 
 void
@@ -1566,47 +1567,6 @@ EvalState::step()
     evalComb();
     commitWrites();
     latchRegisters();
-}
-
-void
-EvalState::save(std::ostream &out) const
-{
-    auto write_vec = [&](const uint64_t *p, uint64_t n) {
-        out.write(reinterpret_cast<const char *>(&n), sizeof(n));
-        out.write(reinterpret_cast<const char *>(p),
-                  static_cast<std::streamsize>(n * 8));
-    };
-    write_vec(slots_.data(), slots_.size());
-    uint64_t nmems = mems_.size();
-    out.write(reinterpret_cast<const char *>(&nmems), sizeof(nmems));
-    for (const auto &m : mems_)
-        write_vec(m.data(), m.size());
-}
-
-void
-EvalState::restore(std::istream &in)
-{
-    auto read_vec = [&](uint64_t *p, uint64_t size) {
-        uint64_t n = 0;
-        in.read(reinterpret_cast<char *>(&n), sizeof(n));
-        if (!in || n != size)
-            fatal("checkpoint mismatch: expected %llu words, got %llu",
-                  static_cast<unsigned long long>(size),
-                  static_cast<unsigned long long>(n));
-        in.read(reinterpret_cast<char *>(p),
-                static_cast<std::streamsize>(n * 8));
-        if (!in)
-            fatal("checkpoint truncated");
-    };
-    read_vec(slots_.data(), slots_.size());
-    uint64_t nmems = 0;
-    in.read(reinterpret_cast<char *>(&nmems), sizeof(nmems));
-    if (!in || nmems != mems_.size())
-        fatal("checkpoint mismatch: memory count");
-    for (auto &m : mems_)
-        read_vec(m.data(), m.size());
-    refreshMemPtrs();
-    markAllDirty();
 }
 
 } // namespace parendi::rtl

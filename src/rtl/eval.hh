@@ -21,7 +21,6 @@
 #define PARENDI_RTL_EVAL_HH
 
 #include <cstdint>
-#include <iosfwd>
 #include <memory>
 #include <new>
 #include <unordered_map>
@@ -569,12 +568,6 @@ class EvalState
     {
         return mems_[mem_index];
     }
-
-    /** Serialize all mutable state (slots + memory images). */
-    void save(std::ostream &out) const;
-    /** Restore state saved by save(); the program must be identical.
-     *  Calls fatal() on a size mismatch. */
-    void restore(std::istream &in);
 
   private:
     /** Generic-tier kernels (the original multi-word switch), over the

@@ -1,7 +1,5 @@
 #include "rtl/interp.hh"
 
-#include <istream>
-#include <ostream>
 
 #include "util/logging.hh"
 
@@ -129,24 +127,6 @@ Interpreter::poke(const std::string &input, uint64_t value)
     if (id == nl.numInputs())
         fatal("no input port named %s", input.c_str());
     poke(input, BitVec(nl.input(id).width, value));
-}
-
-void
-Interpreter::save(std::ostream &out) const
-{
-    out.write(reinterpret_cast<const char *>(&cycleCount),
-              sizeof(cycleCount));
-    state->save(out);
-}
-
-void
-Interpreter::restore(std::istream &in)
-{
-    in.read(reinterpret_cast<char *>(&cycleCount),
-            sizeof(cycleCount));
-    if (!in)
-        fatal("checkpoint truncated");
-    state->restore(in);
 }
 
 bool

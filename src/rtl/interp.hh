@@ -9,7 +9,6 @@
 #ifndef PARENDI_RTL_INTERP_HH
 #define PARENDI_RTL_INTERP_HH
 
-#include <iosfwd>
 #include <memory>
 #include <string>
 
@@ -94,25 +93,6 @@ class Interpreter : public core::SimEngine
                             uint32_t lane) const override;
     BitVec peekMemoryLane(const std::string &mem, uint64_t index,
                           uint32_t lane) const override;
-
-    /** Checkpoint all simulation state (including the cycle count). */
-    void save(std::ostream &out) const;
-    /** Restore a checkpoint written by save() for the same design. */
-    void restore(std::istream &in);
-
-    /** Engine-agnostic checkpointing (see SimEngine). */
-    bool
-    saveState(std::ostream &out) const override
-    {
-        save(out);
-        return true;
-    }
-    bool
-    restoreState(std::istream &in) override
-    {
-        restore(in);
-        return true;
-    }
 
     /** Canonical architectural state (see SimEngine / src/ckpt). */
     bool exportArch(core::ArchState &out) const override;

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <istream>
-#include <ostream>
 #include <unordered_map>
 
 #include "util/bsp_pool.hh"
@@ -854,28 +852,6 @@ ShardSet::peekMemoryLane(const std::string &mem, uint64_t index,
         }
     }
     fatal("memory %s not placed on any shard", mem.c_str());
-}
-
-void
-ShardSet::save(std::ostream &out) const
-{
-    uint64_t nshards = states_.size();
-    out.write(reinterpret_cast<const char *>(&nshards),
-              sizeof(nshards));
-    for (const auto &st : states_)
-        st->save(out);
-}
-
-void
-ShardSet::restore(std::istream &in)
-{
-    uint64_t nshards = 0;
-    in.read(reinterpret_cast<char *>(&nshards), sizeof(nshards));
-    if (!in || nshards != states_.size())
-        fatal("checkpoint mismatch: shard count");
-    for (auto &st : states_)
-        st->restore(in);
-    pubValid_ = false;
 }
 
 void

@@ -59,7 +59,6 @@
 #define PARENDI_RTL_SHARD_HH
 
 #include <cstdint>
-#include <iosfwd>
 #include <memory>
 #include <string>
 #include <utility>
@@ -89,7 +88,7 @@ class ShardSet
         uint32_t readerReg;     ///< reader program's ProgReg index
         uint16_t words;
         uint32_t bytes;         ///< exchange payload (4B granules)
-        uint32_t pubOffset;     ///< value's offset in the publish buffer
+        uint32_t pubOffset = 0; ///< value's offset in the publish buffer
     };
 
     /** One array write port fanned out to every replica. */
@@ -106,7 +105,7 @@ class ShardSet
         /// Publish-buffer offset of this port's resolved record:
         /// [lanes addrs (each addr or kPubSkip), entryWords * lanes
         /// data words in the state's lane-major order].
-        uint32_t pubOffset;
+        uint32_t pubOffset = 0;
         /// (shard, program-local memory index) of every replica.
         std::vector<std::pair<uint32_t, uint32_t>> replicas;
     };
@@ -184,10 +183,8 @@ class ShardSet
     bool setActivity(bool on);
     bool activityEnabled() const { return activity_; }
 
-    /** The individual phases, for hosts with bespoke compute phases. */
-    void commitBroadcasts(util::BspPool *pool);
-    void latchRegisters(util::BspPool *pool);
-    void exchangeRegisters(util::BspPool *pool);
+    /** Evaluate every shard's combinational logic (the eval phase
+     *  alone; engines call it once after building the shard set). */
     void evalAll(util::BspPool *pool);
 
     /** Restore initial images and re-evaluate all shards. */
@@ -204,13 +201,6 @@ class ShardSet
      * shards, and must outlive this attachment.
      */
     void setProfiler(obs::SuperstepProfiler *prof);
-    obs::SuperstepProfiler *profiler() const { return prof_; }
-
-    /** Open/close one profiled cycle around individually driven
-     *  phases (stepCycle does this itself; hosts with bespoke phase
-     *  sequences — the legacy spawn path — call these around theirs). */
-    void profileCycleBegin();
-    void profileCycleEnd();
 
     // -- Name-based host access ------------------------------------------
 
@@ -236,11 +226,6 @@ class ShardSet
     BitVec peekRegisterLane(const std::string &reg, uint32_t lane) const;
     BitVec peekMemoryLane(const std::string &mem, uint64_t index,
                           uint32_t lane) const;
-
-    /** Serialize every shard's mutable state (count-prefixed). */
-    void save(std::ostream &out) const;
-    /** Restore a checkpoint from the same compiled configuration. */
-    void restore(std::istream &in);
 
     /**
      * Read the canonical architectural state (netlist-id order, all
@@ -313,6 +298,14 @@ class ShardSet
      *  cycle reads — the out-of-band path after construction, poke,
      *  reset, restore, or any phased stepping. */
     void publishAll();
+    /** Open/close one profiled cycle (stepCycle and the fused batch
+     *  loop bracket every cycle with these). */
+    void profileCycleBegin();
+    void profileCycleEnd();
+    /** The phases stepCycle sequences (evalAll is public). */
+    void commitBroadcasts(util::BspPool *pool);
+    void latchRegisters(util::BspPool *pool);
+    void exchangeRegisters(util::BspPool *pool);
 
     obs::SuperstepProfiler *prof_ = nullptr;
     obs::Counter *ctrInstrs_ = nullptr;

@@ -56,7 +56,8 @@
  *     --save-every N    with --save: snapshot every N cycles into one
  *                       delta-coded chain (record 0 is the pre-run
  *                       state)
- *     --restore FILE    restore a checkpoint (v0/v1/v2) before the run
+ *     --restore FILE    restore a checkpoint before the run (v2 only;
+ *                       the retired v0/v1 raw blobs are rejected)
  *     --restore-at K    with --restore: restore snapshot record K of a
  *                       v2 chain instead of the last
  *     --journal FILE    record the run's stimulus (steps, snapshot
@@ -516,10 +517,9 @@ main(int argc, char **argv)
         }
 
         // Restore before the run (the run continues from the
-        // snapshot). --restore-at and --replay walk the v2 snapshot
-        // chain directly — replay needs to know which snapshot marker
-        // to resume from; the plain path accepts any format (v0/v1/v2)
-        // through the versioned envelope dispatch.
+        // snapshot). --restore-at and --replay walk the snapshot chain
+        // directly — replay needs to know which snapshot marker to
+        // resume from; the plain path restores the last record.
         int64_t restoredSeq = -1;
         if (!args.restorePath.empty()) {
             std::ifstream in(args.restorePath, std::ios::binary);

@@ -1,9 +1,7 @@
 #include "x86/parallel.hh"
 
 #include <algorithm>
-#include <istream>
 #include <numeric>
-#include <ostream>
 #include <thread>
 #include <vector>
 
@@ -430,22 +428,6 @@ ParallelInterpreter::maybeRebalance()
                "%.2f > %.2f), repartition #%llu",
                static_cast<double>(peak) / mean, rebalance_,
                static_cast<unsigned long long>(rebalances_));
-}
-
-void
-ParallelInterpreter::save(std::ostream &out) const
-{
-    out.write(reinterpret_cast<const char *>(&cycleCount_),
-              sizeof(cycleCount_));
-    shards_.save(out);
-}
-
-void
-ParallelInterpreter::restore(std::istream &in)
-{
-    in.read(reinterpret_cast<char *>(&cycleCount_),
-            sizeof(cycleCount_));
-    shards_.restore(in);
 }
 
 } // namespace parendi::rtl

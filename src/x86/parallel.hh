@@ -18,7 +18,6 @@
 #define PARENDI_X86_PARALLEL_HH
 
 #include <cstdint>
-#include <iosfwd>
 #include <memory>
 #include <string>
 
@@ -190,25 +189,6 @@ class ParallelInterpreter : public core::SimEngine
     profiler() const override
     {
         return profiler_.get();
-    }
-
-    /** Checkpoint all simulation state (including the cycle count);
-     *  compatible only with the same design at the same shard count. */
-    void save(std::ostream &out) const;
-    void restore(std::istream &in);
-
-    /** Engine-agnostic checkpointing (see SimEngine). */
-    bool
-    saveState(std::ostream &out) const override
-    {
-        save(out);
-        return true;
-    }
-    bool
-    restoreState(std::istream &in) override
-    {
-        restore(in);
-        return true;
     }
 
     /** Canonical architectural state (see SimEngine / src/ckpt).

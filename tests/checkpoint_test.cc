@@ -27,14 +27,14 @@ TEST(Checkpoint, InterpreterRoundTrip)
     Interpreter sim(designs::makeBitcoin({1, 16}));
     sim.step(77);
     std::stringstream snap;
-    sim.save(snap);
+    core::saveCheckpoint(sim, snap);
     uint64_t cyc = sim.cycles();
 
     sim.step(53); // diverge
     rtl::BitVec later = sim.peekRegister("e0_a");
 
     std::stringstream snap2(snap.str());
-    sim.restore(snap2);
+    core::restoreCheckpoint(sim, snap2);
     EXPECT_EQ(sim.cycles(), cyc);
     sim.step(53); // replay
     EXPECT_EQ(sim.peekRegister("e0_a"), later);
@@ -45,10 +45,10 @@ TEST(Checkpoint, RestoreIntoFreshInterpreter)
     Interpreter a(designs::makeSr(2));
     a.step(120);
     std::stringstream snap;
-    a.save(snap);
+    core::saveCheckpoint(a, snap);
 
     Interpreter b(designs::makeSr(2));
-    b.restore(snap);
+    core::restoreCheckpoint(b, snap);
     EXPECT_EQ(b.cycles(), 120u);
     a.step(40);
     b.step(40);
@@ -64,11 +64,11 @@ TEST(Checkpoint, MachineRoundTrip)
     auto sim = core::compile(designs::makeSr(2), opt);
     sim->step(60);
     std::stringstream snap;
-    sim->machine().save(snap);
+    core::saveCheckpoint(sim->machine(), snap);
     sim->step(25);
     rtl::BitVec later = sim->machine().peek("rx_total");
 
-    sim->machine().restore(snap);
+    core::restoreCheckpoint(sim->machine(), snap);
     EXPECT_EQ(sim->machine().cycles(), 60u);
     sim->step(25);
     EXPECT_EQ(sim->machine().peek("rx_total"), later);
@@ -84,8 +84,8 @@ TEST(Checkpoint, MachineAgreesWithInterpreterAfterRestore)
     sim->step(30);
     ref.step(30);
     std::stringstream snap;
-    sim->machine().save(snap);
-    sim->machine().restore(snap);
+    core::saveCheckpoint(sim->machine(), snap);
+    core::restoreCheckpoint(sim->machine(), snap);
     sim->step(30);
     ref.step(30);
     const Netlist &n2 = ref.netlist();
@@ -98,17 +98,17 @@ TEST(Checkpoint, RejectsCorruptAndMismatched)
 {
     Interpreter a(designs::makePrngBank(4));
     std::stringstream snap;
-    a.save(snap);
+    core::saveCheckpoint(a, snap);
 
     // Truncated stream.
     std::string full = snap.str();
     std::stringstream trunc(full.substr(0, full.size() / 2));
-    EXPECT_THROW(a.restore(trunc), FatalError);
+    EXPECT_THROW(core::restoreCheckpoint(a, trunc), FatalError);
 
     // A checkpoint from a different design.
     Interpreter b(designs::makePrngBank(16));
     std::stringstream snap_a(full);
-    EXPECT_THROW(b.restore(snap_a), FatalError);
+    EXPECT_THROW(core::restoreCheckpoint(b, snap_a), FatalError);
 }
 
 // ---- Versioned checkpoint envelope (core/session.hh) ----
@@ -142,17 +142,34 @@ TEST(CheckpointEnvelope, HeaderedRoundTrip)
     EXPECT_EQ(sim.peek("tx_total"), later);
 }
 
-TEST(CheckpointEnvelope, AcceptsHeaderlessV0Blob)
+TEST(CheckpointEnvelope, RejectsHeaderlessV0Blob)
 {
-    // A raw engine blob (the pre-envelope format) restores through
-    // restoreCheckpoint via the rewind fallback.
+    // The pre-envelope format (a cycle count followed by raw state
+    // words) is no longer read: restoreCheckpoint names the cut-off
+    // and leaves the engine untouched. The same state as v2 restores.
     Interpreter a(designs::makeSr(2));
     a.step(55);
-    std::stringstream raw;
-    a.save(raw);
+    std::string raw(8 * 64, '\0');
+    uint64_t cycles = a.cycles();
+    std::memcpy(raw.data(), &cycles, sizeof(cycles));
 
     Interpreter b(designs::makeSr(2));
-    core::restoreCheckpoint(b, raw);
+    b.step(3);
+    rtl::BitVec before = b.peek("tx_total");
+    std::stringstream in(raw);
+    try {
+        core::restoreCheckpoint(b, in);
+        FAIL() << "headerless blob must be rejected";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("v0"), std::string::npos)
+            << e.what();
+    }
+    EXPECT_EQ(b.cycles(), 3u);
+    EXPECT_EQ(b.peek("tx_total"), before);
+
+    std::stringstream v2;
+    core::saveCheckpoint(a, v2);
+    core::restoreCheckpoint(b, v2);
     EXPECT_EQ(b.cycles(), 55u);
     a.step(20);
     b.step(20);
@@ -178,21 +195,64 @@ TEST(CheckpointEnvelope, RejectsWrongDesignWithClearError)
 
 TEST(CheckpointEnvelope, RejectsUnknownVersion)
 {
+    // Everything but a v2 envelope is rejected with an error that
+    // names the one version this build reads — never a crash, and
+    // never a partial restore.
     Interpreter a(designs::makeSr(2));
+    a.step(12);
     std::stringstream snap;
     core::saveCheckpoint(a, snap);
-    std::string blob = snap.str();
-    uint32_t future = core::kCheckpointVersion + 7;
-    std::memcpy(blob.data() + 8, &future, sizeof(future));
+    const std::string blob = snap.str();
+    auto stamped = [&](uint32_t version) {
+        std::string b = blob;
+        std::memcpy(b.data() + 8, &version, sizeof(version));
+        return b;
+    };
+    // A headerless run of raw words, as the old v0 format wrote.
+    std::string words;
+    for (uint64_t w = 0; w < 32; ++w)
+        words.append(reinterpret_cast<const char *>(&w), sizeof(w));
 
-    std::stringstream snap2(blob);
-    try {
-        core::restoreCheckpoint(a, snap2);
-        FAIL() << "future version must be rejected";
-    } catch (const FatalError &e) {
-        EXPECT_NE(std::string(e.what()).find("version"),
-                  std::string::npos);
+    const std::pair<const char *, std::string> cases[] = {
+        {"empty stream", ""},
+        {"7 bytes", blob.substr(0, 7)},
+        {"raw words", words},
+        {"version 0", stamped(0)},
+        {"version 1", stamped(1)},
+        {"future version", stamped(core::kCheckpointVersion + 7)},
+    };
+    for (const auto &[what, input] : cases) {
+        Interpreter dst(designs::makeSr(2));
+        std::stringstream in(input);
+        try {
+            core::restoreCheckpoint(dst, in);
+            ADD_FAILURE() << what << " must be rejected";
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find("only version 2"),
+                      std::string::npos)
+                << what << ": " << e.what();
+        }
+        EXPECT_EQ(dst.cycles(), 0u) << what;
     }
+}
+
+TEST(CheckpointEnvelope, EventEngineSaveNamesTheEngine)
+{
+    // The event engine exports no architectural state, so it cannot
+    // be checkpointed; the error names it and nothing is written.
+    core::EngineOptions eopt;
+    eopt.kind = core::EngineKind::Event;
+    auto ev = core::makeEngine(designs::makeSr(2), eopt);
+    std::stringstream out;
+    try {
+        core::saveCheckpoint(*ev, out);
+        FAIL() << "event engine checkpoint must be rejected";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find(ev->engineName()),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_TRUE(out.str().empty());
 }
 
 TEST(CheckpointEnvelope, SessionHandleFacade)

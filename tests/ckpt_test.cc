@@ -3,7 +3,7 @@
  * Tests for the snapshot/replay subsystem (src/ckpt): the bitstream
  * coder, the v2 compressed snapshot format, delta chains, the
  * deterministic input journal, cross-engine portability, corruption
- * rejection, and v0/v1/v2 cross-version compatibility.
+ * rejection, and the v2-only cut-off for the retired v0/v1 formats.
  */
 
 #include <gtest/gtest.h>
@@ -271,16 +271,16 @@ TEST(Snapshot, GangLanesRoundTrip)
 
 TEST(Snapshot, CompressedSmallerThanRawBlob)
 {
-    // Acceptance: a v2 snapshot is at most half the raw v1 engine
-    // blob on pico.
+    // Acceptance: a v2 snapshot is at most half the engine's raw
+    // state (every slot word plus every memory word, as a raw copy of
+    // the state would hold) on pico.
     Interpreter sim(designs::makePico(designs::defaultCoreConfig()));
     sim.step(500);
-    std::stringstream v1, v2;
-    core::saveCheckpointV1(sim, v1);
+    std::stringstream v2;
     core::saveCheckpoint(sim, v2);
-    EXPECT_LE(v2.str().size() * 2, v1.str().size())
-        << "v2 " << v2.str().size() << "B vs v1 " << v1.str().size()
-        << "B";
+    const uint64_t raw = sim.program().dataBytes();
+    EXPECT_LE(v2.str().size() * 2, raw)
+        << "v2 " << v2.str().size() << "B vs raw state " << raw << "B";
 }
 
 TEST(Snapshot, RejectsCorruptTruncatedAndReordered)
@@ -333,33 +333,40 @@ TEST(Snapshot, RejectsCorruptTruncatedAndReordered)
 
 // ---- Cross-version compatibility ---------------------------------------
 
-TEST(CrossVersion, V0V1V2AllRestore)
+TEST(CrossVersion, OnlyV2Restores)
 {
     Netlist nl = designs::makeSr(2);
     Interpreter src(nl);
     src.step(80);
     std::string digest = regsDigest(src);
 
-    std::stringstream v0, v1, v2;
-    src.save(v0); // headerless raw blob
-    core::saveCheckpointV1(src, v1);
+    std::stringstream v2;
     core::saveCheckpoint(src, v2);
+    const std::string blob = v2.str();
 
-    // v2 is the current default writer.
+    // v2 is the writer's only format.
+    uint32_t ver = 0;
+    ASSERT_GE(blob.size(), 20u);
+    memcpy(&ver, blob.data() + 8, sizeof(ver));
+    EXPECT_EQ(ver, 2u);
     {
-        std::string blob = v2.str();
-        uint32_t ver = 0;
-        ASSERT_GE(blob.size(), 12u);
-        memcpy(&ver, blob.data() + 8, sizeof(ver));
-        EXPECT_EQ(ver, 2u);
-    }
-
-    for (std::stringstream *snap : {&v0, &v1, &v2}) {
         Interpreter dst(nl);
-        core::restoreCheckpoint(dst, *snap);
+        std::stringstream in(blob);
+        core::restoreCheckpoint(dst, in);
         EXPECT_EQ(dst.cycles(), 80u);
         EXPECT_EQ(regsDigest(dst), digest);
-        dst.step(25);
+    }
+
+    // A v0 stream (no envelope: the body alone) and a v1 stream (the
+    // envelope stamped version 1) are both refused at the cut-off.
+    std::string v1 = blob;
+    uint32_t one = 1;
+    memcpy(v1.data() + 8, &one, sizeof(one));
+    for (const std::string &old : {blob.substr(20), v1}) {
+        Interpreter dst(nl);
+        std::stringstream in(old);
+        EXPECT_THROW(core::restoreCheckpoint(dst, in), FatalError);
+        EXPECT_EQ(dst.cycles(), 0u);
     }
 }
 

@@ -18,6 +18,7 @@
 
 #include "core/compiler.hh"
 #include "core/engine.hh"
+#include "core/session.hh"
 #include "random_netlist.hh"
 #include "rtl/interp.hh"
 #include "util/bsp_pool.hh"
@@ -147,9 +148,9 @@ TEST_P(ParallelEquiv, FusedMatchesPhasedAcrossBatchShapes)
         // Checkpoint round-trip mid-run: restore must re-publish
         // before the next fused batch.
         std::stringstream snap;
-        fused.save(snap);
+        core::saveCheckpoint(fused, snap);
         fused.step(5);
-        fused.restore(snap);
+        core::restoreCheckpoint(fused, snap);
         ref.step(5);
         fused.step(5);
         phased.step(5);
@@ -189,10 +190,10 @@ TEST(ParallelInterpreter, PokeResetAndCheckpoint)
     EXPECT_EQ(sim.peek("acc").toUint64(), 12u);
 
     std::stringstream snap;
-    sim.save(snap);
+    core::saveCheckpoint(sim, snap);
     sim.step(2);
     EXPECT_EQ(sim.peek("acc").toUint64(), 18u);
-    sim.restore(snap);
+    core::restoreCheckpoint(sim, snap);
     EXPECT_EQ(sim.cycles(), 4u);
     EXPECT_EQ(sim.peek("acc").toUint64(), 12u);
 
@@ -366,8 +367,10 @@ TEST(BspPool, BatchDispatchCrossesInnerBarriersInOneEpoch)
     constexpr uint32_t kWorkers = 3;
     constexpr uint32_t kBatches = 4;
     constexpr int kInner = 17;
-    util::BspPool pool(kWorkers);
+    // Declared before the pool: a worker still parked in its wait holds
+    // the observer pointer until the pool's destructor releases it.
     EpochCounter obs;
+    util::BspPool pool(kWorkers);
     pool.setWaitObserver(&obs);
     util::SpinBarrier inner(kWorkers);
     std::vector<uint64_t> perWorker(kWorkers, 0);

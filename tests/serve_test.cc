@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -163,6 +164,18 @@ TEST(Serve, CheckpointRestoreOverTheWire)
     rtl::BitVec replay;
     ASSERT_TRUE(fx.client.peek(id, "tx_total", &replay));
     EXPECT_EQ(replay, later);
+
+    // A blob stamped with the retired raw-blob version 1 is rejected
+    // with an error naming the cut-off, and the session keeps
+    // stepping from where it was.
+    std::string v1 = blob;
+    uint32_t one = 1;
+    std::memcpy(v1.data() + 8, &one, sizeof(one));
+    EXPECT_FALSE(fx.client.restore(id, v1));
+    EXPECT_NE(fx.client.lastError().find("version 1"), std::string::npos)
+        << fx.client.lastError();
+    ASSERT_TRUE(fx.client.step(id, 10, &cycles));
+    EXPECT_EQ(cycles, 240u);
 
     // A blob from a different design is rejected with a clear error,
     // and the session keeps running.
