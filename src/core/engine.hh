@@ -316,15 +316,15 @@ struct EngineOptions
      *  (event, ipu) silently run always-eval. */
     bool activity = true;
     /** Load measured per-fiber costs from this file (see
-     *  obs::CostProfile) and let the par engine's LPT partition use
+     *  obs::CostProfile) and let the par engine's fiber placement use
      *  them in place of the static x86 cost model (`--cost-profile`).
      *  Missing or unreadable file: static costs with a warning. */
     std::string costProfileIn;
     /** Telemetry-directed repartitioning (`--rebalance R`, par engine
      *  only): between stepped batches, when the profiled per-shard
-     *  eval-tick skew max/mean exceeds R, re-run LPT on the measured
-     *  costs and migrate state onto the new packing. 0 = off. Implies
-     *  profiling. */
+     *  eval-tick skew max/mean exceeds R, re-place the fibers on the
+     *  measured costs and migrate state onto the new placement.
+     *  0 = off. Implies profiling. */
     double rebalance = 0.0;
 };
 

@@ -1,7 +1,7 @@
 /**
  * @file
  * CostProfile: measured per-fiber evaluation costs, persisted across
- * runs. The static x86 cost model drives the initial LPT packing of
+ * runs. The static x86 cost model weighs the initial placement of
  * fibers onto shards; a profiled run attributes each shard's measured
  * eval ticks back to its fibers and saves them here, so the next run
  * (or an in-run rebalance) partitions on what the fibers actually

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <numeric>
-#include <unordered_map>
 
 #include "partition/makespan.hh"
 #include "util/logging.hh"
@@ -26,17 +25,24 @@ Hypergraph::addEdge(uint64_t weight, std::vector<uint32_t> edge_pins)
     if (edge_pins.size() < 2)
         return false;
     edgeWeight.push_back(weight);
-    pins.push_back(std::move(edge_pins));
+    pinList.insert(pinList.end(), edge_pins.begin(), edge_pins.end());
+    pinStart.push_back(static_cast<uint32_t>(pinList.size()));
     return true;
 }
 
 void
 Hypergraph::buildIncidence()
 {
-    incident.assign(numNodes(), {});
+    incStart.assign(numNodes() + 1, 0);
+    for (uint32_t v : pinList)
+        ++incStart[v + 1];
+    for (size_t v = 0; v < numNodes(); ++v)
+        incStart[v + 1] += incStart[v];
+    incList.resize(pinList.size());
+    std::vector<uint32_t> fill(incStart.begin(), incStart.end() - 1);
     for (uint32_t e = 0; e < numEdges(); ++e)
-        for (uint32_t v : pins[e])
-            incident[v].push_back(e);
+        for (uint32_t v : pins(e))
+            incList[fill[v]++] = e;
 }
 
 uint64_t
@@ -55,7 +61,7 @@ connectivityCost(const Hypergraph &hg, const std::vector<uint32_t> &part,
     std::vector<uint32_t> seen;
     for (uint32_t e = 0; e < hg.numEdges(); ++e) {
         seen.clear();
-        for (uint32_t v : hg.pins[e])
+        for (uint32_t v : hg.pins(e))
             seen.push_back(part[v]);
         std::sort(seen.begin(), seen.end());
         seen.erase(std::unique(seen.begin(), seen.end()), seen.end());
@@ -69,8 +75,8 @@ cutCost(const Hypergraph &hg, const std::vector<uint32_t> &part)
 {
     uint64_t cost = 0;
     for (uint32_t e = 0; e < hg.numEdges(); ++e) {
-        uint32_t first = part[hg.pins[e][0]];
-        for (uint32_t v : hg.pins[e]) {
+        uint32_t first = part[hg.pins(e)[0]];
+        for (uint32_t v : hg.pins(e)) {
             if (part[v] != first) {
                 cost += hg.edgeWeight[e];
                 break;
@@ -82,53 +88,63 @@ cutCost(const Hypergraph &hg, const std::vector<uint32_t> &part)
 
 namespace {
 
-/** Per-edge pin counts per part, kept as small sorted vectors since
- *  most edges touch only a handful of parts even for large k. */
-struct EdgeParts
+/**
+ * Per-edge pin counts per part, as (part, pins) pairs. Most edges touch
+ * only a handful of parts even for large k, so each edge holds a short
+ * unsorted list; all lists share one flat buffer, edge e owning
+ * min(k, |pins(e)|) slots from start[e].
+ */
+class EdgeParts
 {
-    std::vector<std::pair<uint32_t, uint32_t>> counts; // (part, pins)
-
-    uint32_t
-    lambda() const
+  public:
+    EdgeParts(const Hypergraph &hg, uint32_t k)
+        : start_(hg.numEdges() + 1, 0), len_(hg.numEdges(), 0)
     {
-        return static_cast<uint32_t>(counts.size());
+        for (uint32_t e = 0; e < hg.numEdges(); ++e)
+            start_[e + 1] = start_[e] +
+                std::min<uint32_t>(
+                    k, static_cast<uint32_t>(hg.pins(e).size()));
+        slots_.resize(start_.back());
     }
 
-    uint32_t
-    countOf(uint32_t part) const
+    /** Parts present on edge @p e with their pin counts. */
+    std::span<const std::pair<uint32_t, uint32_t>>
+    counts(uint32_t e) const
     {
-        for (const auto &[p, c] : counts)
-            if (p == part)
-                return c;
-        return 0;
+        return {slots_.data() + start_[e], len_[e]};
     }
 
     void
-    add(uint32_t part)
+    add(uint32_t e, uint32_t part)
     {
-        for (auto &[p, c] : counts) {
-            if (p == part) {
-                ++c;
+        auto *b = slots_.data() + start_[e];
+        for (uint32_t i = 0; i < len_[e]; ++i) {
+            if (b[i].first == part) {
+                ++b[i].second;
                 return;
             }
         }
-        counts.emplace_back(part, 1);
+        b[len_[e]++] = {part, 1};
     }
 
     void
-    remove(uint32_t part)
+    remove(uint32_t e, uint32_t part)
     {
-        for (size_t i = 0; i < counts.size(); ++i) {
-            if (counts[i].first == part) {
-                if (--counts[i].second == 0) {
-                    counts[i] = counts.back();
-                    counts.pop_back();
-                }
+        auto *b = slots_.data() + start_[e];
+        for (uint32_t i = 0; i < len_[e]; ++i) {
+            if (b[i].first == part) {
+                if (--b[i].second == 0)
+                    b[i] = b[--len_[e]];
                 return;
             }
         }
         panic("EdgeParts::remove: part %u not present", part);
     }
+
+  private:
+    std::vector<uint32_t> start_;
+    std::vector<uint32_t> len_;
+    std::vector<std::pair<uint32_t, uint32_t>> slots_;
 };
 
 /**
@@ -138,7 +154,7 @@ struct EdgeParts
  */
 size_t
 refinePass(const Hypergraph &hg, std::vector<uint32_t> &part,
-           std::vector<EdgeParts> &edge_parts,
+           EdgeParts &edge_parts,
            std::vector<uint64_t> &part_weight, uint64_t max_part_weight,
            Rng &rng)
 {
@@ -148,37 +164,48 @@ refinePass(const Hypergraph &hg, std::vector<uint32_t> &part,
     for (size_t i = order.size(); i > 1; --i)
         std::swap(order[i - 1], order[rng.below(i)]);
 
+    // Moving v from `from` to `to` changes edge e's lambda by -1 when
+    // v is the last pin of `from` and `to` is present, and by +1 when
+    // `from` keeps pins and `to` is absent, so the connectivity gain is
+    //   gain(to) = Σ w(e) over e with `to` present
+    //            − Σ w(e) over e where `from` keeps pins,
+    // collected for every candidate in one sweep of v's edges.
+    std::vector<uint32_t> cands;
+    std::vector<int64_t> present(part_weight.size(), 0);
+    std::vector<char> seen(part_weight.size(), 0);
     for (uint32_t v : order) {
-        uint32_t from = part[v];
-        // Candidate target parts: parts present on incident edges.
-        std::vector<uint32_t> cands;
-        for (uint32_t e : hg.incident[v])
-            for (const auto &[p, c] : edge_parts[e].counts)
-                if (p != from)
-                    cands.push_back(p);
-        std::sort(cands.begin(), cands.end());
-        cands.erase(std::unique(cands.begin(), cands.end()), cands.end());
+        const uint32_t from = part[v];
+        int64_t stays = 0;
+        cands.clear();
+        for (uint32_t e : hg.incident(v)) {
+            const int64_t w = static_cast<int64_t>(hg.edgeWeight[e]);
+            for (const auto &[p, c] : edge_parts.counts(e)) {
+                if (p == from) {
+                    if (c > 1)
+                        stays += w;
+                } else {
+                    if (!seen[p]) {
+                        seen[p] = 1;
+                        cands.push_back(p);
+                    }
+                    present[p] += w;
+                }
+            }
+        }
         if (cands.empty())
             continue;
+        // Candidates in ascending part order (the tie-break below
+        // depends on it).
+        std::sort(cands.begin(), cands.end());
 
         int64_t best_gain = 0;
         uint32_t best_to = from;
         for (uint32_t to : cands) {
+            const int64_t gain = present[to] - stays;
+            present[to] = 0;
+            seen[to] = 0;
             if (part_weight[to] + hg.nodeWeight[v] > max_part_weight)
                 continue;
-            int64_t gain = 0;
-            for (uint32_t e : hg.incident[v]) {
-                const EdgeParts &ep = edge_parts[e];
-                int64_t w = static_cast<int64_t>(hg.edgeWeight[e]);
-                // Moving v: if v is the last pin of `from` on e,
-                // lambda drops by 1 unless `to` is new on e.
-                bool leaves_from = ep.countOf(from) == 1;
-                bool enters_to = ep.countOf(to) == 0;
-                if (leaves_from && !enters_to)
-                    gain += w;
-                if (!leaves_from && enters_to)
-                    gain -= w;
-            }
             if (gain > best_gain ||
                 (gain == best_gain && best_to != from &&
                  part_weight[to] < part_weight[best_to])) {
@@ -189,9 +216,9 @@ refinePass(const Hypergraph &hg, std::vector<uint32_t> &part,
         if (best_to == from || best_gain <= 0)
             continue;
         // Apply the move.
-        for (uint32_t e : hg.incident[v]) {
-            edge_parts[e].remove(from);
-            edge_parts[e].add(best_to);
+        for (uint32_t e : hg.incident(v)) {
+            edge_parts.remove(e, from);
+            edge_parts.add(e, best_to);
         }
         part_weight[from] -= hg.nodeWeight[v];
         part_weight[best_to] += hg.nodeWeight[v];
@@ -205,10 +232,10 @@ void
 refine(const Hypergraph &hg, std::vector<uint32_t> &part,
        const HgOptions &opt, uint64_t max_part_weight, Rng &rng)
 {
-    std::vector<EdgeParts> edge_parts(hg.numEdges());
+    EdgeParts edge_parts(hg, opt.k);
     for (uint32_t e = 0; e < hg.numEdges(); ++e)
-        for (uint32_t v : hg.pins[e])
-            edge_parts[e].add(part[v]);
+        for (uint32_t v : hg.pins(e))
+            edge_parts.add(e, part[v]);
     std::vector<uint64_t> part_weight(opt.k, 0);
     for (uint32_t v = 0; v < hg.numNodes(); ++v)
         part_weight[part[v]] += hg.nodeWeight[v];
@@ -241,23 +268,32 @@ coarsen(const Hypergraph &fine, uint64_t max_cluster_weight, Rng &rng,
         std::swap(order[i - 1], order[rng.below(i)]);
 
     size_t matched = 0;
-    std::unordered_map<uint32_t, double> rating;
+    // Dense ratings, reset through the list of neighbours touched.
+    std::vector<double> rating(n, 0.0);
+    std::vector<uint32_t> touched;
     for (uint32_t u : order) {
         if (match[u] != UINT32_MAX)
             continue;
-        rating.clear();
-        for (uint32_t e : fine.incident[u]) {
-            if (fine.pins[e].size() > 64)
+        touched.clear();
+        for (uint32_t e : fine.incident(u)) {
+            std::span<const uint32_t> epins = fine.pins(e);
+            if (epins.size() > 64)
                 continue; // skip huge edges: poor signal, costly
             double r = static_cast<double>(fine.edgeWeight[e]) /
-                (static_cast<double>(fine.pins[e].size()) - 1.0);
-            for (uint32_t v : fine.pins[e])
-                if (v != u && match[v] == UINT32_MAX)
+                (static_cast<double>(epins.size()) - 1.0);
+            for (uint32_t v : epins) {
+                if (v != u && match[v] == UINT32_MAX) {
+                    if (rating[v] == 0.0)
+                        touched.push_back(v);
                     rating[v] += r;
+                }
+            }
         }
         uint32_t best = UINT32_MAX;
         double best_r = 0.0;
-        for (const auto &[v, r] : rating) {
+        for (uint32_t v : touched) {
+            const double r = rating[v];
+            rating[v] = 0.0;
             if (fine.nodeWeight[u] + fine.nodeWeight[v] >
                 max_cluster_weight)
                 continue;
@@ -290,12 +326,26 @@ coarsen(const Hypergraph &fine, uint64_t max_cluster_weight, Rng &rng,
     out.hg.nodeWeight.assign(next_id, 0);
     for (uint32_t u = 0; u < n; ++u)
         out.hg.nodeWeight[out.fineToCoarse[u]] += fine.nodeWeight[u];
+    out.hg.edgeWeight.reserve(fine.numEdges());
+    out.hg.pinStart.reserve(fine.numEdges() + 1);
+    out.hg.pinList.reserve(fine.pinList.size());
     for (uint32_t e = 0; e < fine.numEdges(); ++e) {
-        std::vector<uint32_t> cpins;
-        cpins.reserve(fine.pins[e].size());
-        for (uint32_t v : fine.pins[e])
-            cpins.push_back(out.fineToCoarse[v]);
-        out.hg.addEdge(fine.edgeWeight[e], std::move(cpins));
+        // Map the pins in place at the end of the list, then sort,
+        // dedupe, and keep the edge only if it still has two pins.
+        const size_t begin = out.hg.pinList.size();
+        for (uint32_t v : fine.pins(e))
+            out.hg.pinList.push_back(out.fineToCoarse[v]);
+        auto first = out.hg.pinList.begin() + begin;
+        std::sort(first, out.hg.pinList.end());
+        out.hg.pinList.erase(std::unique(first, out.hg.pinList.end()),
+                             out.hg.pinList.end());
+        if (out.hg.pinList.size() - begin >= 2) {
+            out.hg.edgeWeight.push_back(fine.edgeWeight[e]);
+            out.hg.pinStart.push_back(
+                static_cast<uint32_t>(out.hg.pinList.size()));
+        } else {
+            out.hg.pinList.resize(begin);
+        }
     }
     out.hg.buildIncidence();
     return true;
@@ -334,14 +384,18 @@ partitionHypergraph(const Hypergraph &hg_in, const HgOptions &opt)
         ? opt.coarsenTarget
         : std::max<size_t>(static_cast<size_t>(opt.k) * 16, 64);
 
-    // Build the V-cycle.
+    // Build the V-cycle. The input is only copied when it lacks its
+    // incidence lists.
+    Hypergraph withIncidence;
+    const Hypergraph *firstp = &hg_in;
+    if (!hg_in.hasIncidence()) {
+        withIncidence = hg_in;
+        withIncidence.buildIncidence();
+        firstp = &withIncidence;
+    }
+    const Hypergraph &first = *firstp;
     std::vector<CoarseLevel> levels;
-    const Hypergraph *cur = &hg_in;
-    Hypergraph first = hg_in;
-    if (first.incident.empty() ||
-        first.incident.size() != first.numNodes())
-        first.buildIncidence();
-    cur = &first;
+    const Hypergraph *cur = &first;
     while (cur->numNodes() > target) {
         CoarseLevel lvl;
         if (!coarsen(*cur, max_cluster_weight, rng, lvl))

@@ -11,20 +11,50 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace parendi::partition {
 
-/** Pin-list hypergraph with integer node and edge weights. */
+/**
+ * Pin-list hypergraph with integer node and edge weights. Pins and
+ * incidence are stored flat (one array plus per-edge / per-node start
+ * offsets), so building and coarsening allocate O(1) times, not once
+ * per edge and node.
+ */
 struct Hypergraph
 {
     std::vector<uint64_t> nodeWeight;
     std::vector<uint64_t> edgeWeight;
-    std::vector<std::vector<uint32_t>> pins;      ///< edge -> nodes
-    std::vector<std::vector<uint32_t>> incident;  ///< node -> edges
+    /// edge e's pins, ascending: pinList[pinStart[e] .. pinStart[e+1])
+    std::vector<uint32_t> pinStart{0};
+    std::vector<uint32_t> pinList;
+    /// node v's edges, ascending: incList[incStart[v] .. incStart[v+1])
+    /// (filled by buildIncidence)
+    std::vector<uint32_t> incStart;
+    std::vector<uint32_t> incList;
 
     size_t numNodes() const { return nodeWeight.size(); }
     size_t numEdges() const { return edgeWeight.size(); }
+
+    std::span<const uint32_t>
+    pins(uint32_t e) const
+    {
+        return {pinList.data() + pinStart[e],
+                pinList.data() + pinStart[e + 1]};
+    }
+    std::span<const uint32_t>
+    incident(uint32_t v) const
+    {
+        return {incList.data() + incStart[v],
+                incList.data() + incStart[v + 1]};
+    }
+    /** True once buildIncidence() has run for the current nodes. */
+    bool
+    hasIncidence() const
+    {
+        return incStart.size() == numNodes() + 1;
+    }
 
     uint32_t addNode(uint64_t weight);
     /** Add a hyperedge; duplicate pins are removed; edges with fewer

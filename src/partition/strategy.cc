@@ -1,8 +1,8 @@
 #include "partition/strategy.hh"
 
 #include <algorithm>
-#include <map>
 #include <numeric>
+#include <span>
 
 #include "partition/hypergraph.hh"
 #include "util/logging.hh"
@@ -35,6 +35,87 @@ offChipCutBytes(const FiberSet &fs, const std::vector<Process> &procs)
     return cut;
 }
 
+Hypergraph
+fiberHypergraph(const FiberSet &fs, const std::vector<uint64_t> &fiberWeight,
+                const std::vector<uint64_t> &sharedWeight)
+{
+    Hypergraph hg;
+    hg.nodeWeight = fiberWeight;
+
+    // Fibers of each shared node, ascending, as one flat array.
+    const size_t ns = fs.numShared();
+    std::vector<uint32_t> begin(ns + 1, 0);
+    for (uint32_t fi = 0; fi < fs.size(); ++fi)
+        fs[fi].shared.forEach([&](size_t s) { ++begin[s + 1]; });
+    for (size_t s = 0; s < ns; ++s)
+        begin[s + 1] += begin[s];
+    std::vector<uint32_t> fibers(begin[ns]);
+    std::vector<uint32_t> fill(begin.begin(), begin.end() - 1);
+    for (uint32_t fi = 0; fi < fs.size(); ++fi)
+        fs[fi].shared.forEach([&](size_t s) { fibers[fill[s]++] = fi; });
+
+    // Collapse shared nodes with identical fiber sets into one
+    // hyperedge with summed weight: sort by fiber set, then merge runs
+    // of equal sets (edges come out in lexicographic set order).
+    auto setOf = [&](uint32_t s) {
+        return std::span<const uint32_t>(fibers.data() + begin[s],
+                                         fibers.data() + begin[s + 1]);
+    };
+    std::vector<uint32_t> order;
+    order.reserve(ns);
+    for (uint32_t s = 0; s < ns; ++s)
+        if (setOf(s).size() >= 2)
+            order.push_back(s);
+    std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+        return std::ranges::lexicographical_compare(setOf(a), setOf(b));
+    });
+    for (size_t i = 0; i < order.size();) {
+        std::span<const uint32_t> set = setOf(order[i]);
+        uint64_t w = 0;
+        size_t j = i;
+        for (; j < order.size() && std::ranges::equal(set, setOf(order[j]));
+             ++j)
+            w += std::max<uint64_t>(sharedWeight[order[j]], 1);
+        // Already ascending, distinct and at least two pins.
+        hg.edgeWeight.push_back(w);
+        hg.pinList.insert(hg.pinList.end(), set.begin(), set.end());
+        hg.pinStart.push_back(static_cast<uint32_t>(hg.pinList.size()));
+        i = j;
+    }
+    hg.buildIncidence();
+    return hg;
+}
+
+std::vector<std::vector<uint32_t>>
+placeFibers(const Hypergraph &hg, uint32_t k)
+{
+    HgOptions opt;
+    opt.k = std::min<uint32_t>(k, static_cast<uint32_t>(hg.numNodes()));
+    if (opt.k == 0)
+        return {};
+    std::vector<uint32_t> part = partitionHypergraph(hg, opt);
+    std::vector<std::vector<uint32_t>> groups(opt.k);
+    for (uint32_t v = 0; v < hg.numNodes(); ++v)
+        groups[part[v]].push_back(v);
+    // The balance bound does not forbid empty parts; fill each from
+    // the part with the most fibers by moving its lightest one.
+    for (auto &g : groups) {
+        if (!g.empty())
+            continue;
+        auto donor = std::max_element(
+            groups.begin(), groups.end(),
+            [](const auto &a, const auto &b) { return a.size() < b.size(); });
+        auto light = std::min_element(
+            donor->begin(), donor->end(), [&](uint32_t a, uint32_t b) {
+                return hg.nodeWeight[a] < hg.nodeWeight[b];
+            });
+        g.push_back(*light);
+        donor->erase(light);
+    }
+    std::sort(groups.begin(), groups.end());
+    return groups;
+}
+
 namespace {
 
 /**
@@ -46,25 +127,10 @@ namespace {
 Partitioning
 hypergraphSingleChip(const FiberSet &fs, uint32_t tiles, uint64_t seed)
 {
-    Hypergraph hg;
+    std::vector<uint64_t> weight(fs.size());
     for (size_t i = 0; i < fs.size(); ++i)
-        hg.addNode(std::max<uint64_t>(fs[i].totalIpu, 1));
-
-    // Collapse shared nodes with identical fiber sets into one
-    // hyperedge with summed weight.
-    std::map<std::vector<uint32_t>, uint64_t> edges;
-    std::vector<std::vector<uint32_t>> node_fibers(fs.numShared());
-    for (uint32_t fi = 0; fi < fs.size(); ++fi)
-        fs[fi].shared.forEach([&](size_t s) {
-            node_fibers[s].push_back(fi);
-        });
-    const auto &weights = fs.sharedIpu();
-    for (size_t s = 0; s < fs.numShared(); ++s)
-        if (node_fibers[s].size() >= 2)
-            edges[node_fibers[s]] += std::max<uint64_t>(weights[s], 1);
-    for (auto &[pin_set, w] : edges)
-        hg.addEdge(w, pin_set);
-    hg.buildIncidence();
+        weight[i] = std::max<uint64_t>(fs[i].totalIpu, 1);
+    Hypergraph hg = fiberHypergraph(fs, weight, fs.sharedIpu());
 
     HgOptions opt;
     opt.k = std::min<uint32_t>(tiles, static_cast<uint32_t>(fs.size()));

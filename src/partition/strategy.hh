@@ -12,6 +12,7 @@
 #ifndef PARENDI_PARTITION_STRATEGY_HH
 #define PARENDI_PARTITION_STRATEGY_HH
 
+#include "partition/hypergraph.hh"
 #include "partition/merge.hh"
 
 namespace parendi::partition {
@@ -42,6 +43,27 @@ struct PartitionOptions
  *  counting each (register, remote chip) pair once. */
 uint64_t offChipCutBytes(const fiber::FiberSet &fs,
                          const std::vector<Process> &procs);
+
+/**
+ * RepCut-style fiber hypergraph (paper §6.4.1): node i is fiber i,
+ * weighted by @p fiberWeight[i]; every set of shared nodes read by the
+ * same fibers becomes one hyperedge over those fibers, weighted by the
+ * sum of their @p sharedWeight entries (each floored at 1). A balanced
+ * min-connectivity cut of it keeps shared logic, and the registers
+ * read through it, inside one part. Incidence lists are built.
+ */
+Hypergraph fiberHypergraph(const fiber::FiberSet &fs,
+                           const std::vector<uint64_t> &fiberWeight,
+                           const std::vector<uint64_t> &sharedWeight);
+
+/**
+ * Place the fibers of @p hg onto min(@p k, fibers) shards with a
+ * balanced (ε = 0.05) min-connectivity partition under a fixed seed.
+ * Every group is non-empty and ascending, and groups are ordered by
+ * their first fiber, so equal placements compare equal.
+ */
+std::vector<std::vector<uint32_t>> placeFibers(const Hypergraph &hg,
+                                               uint32_t k);
 
 /** Partition a design according to @p opt. */
 Partitioning partitionDesign(const fiber::FiberSet &fs,

@@ -30,15 +30,16 @@
  *                       baseline. interp, cgen and par engines.
  *     --cost-profile FILE  measured per-fiber cost profile: consumed
  *                       before the run (if FILE exists, the par
- *                       engine's LPT partition packs on the measured
+ *                       engine's fiber placement weighs the measured
  *                       costs) and emitted after it (the run's
  *                       per-shard eval ticks attributed back to
  *                       fibers). Implies --profile.
  *     --rebalance R     telemetry-directed repartitioning (par
  *                       engine, with --batch): when the measured
  *                       per-shard eval skew max/mean exceeds R
- *                       between batches, re-run LPT on measured costs
- *                       and migrate state. Implies --profile. 0 = off.
+ *                       between batches, re-place fibers on measured
+ *                       costs and migrate state. Implies --profile.
+ *                       0 = off.
  *     --tiles N         tiles per chip (default 1472, ipu engine)
  *     --chips N         IPU chips, 1-4 (default 1, ipu engine)
  *     --strategy B|H    single-chip partitioning (default B)
@@ -128,6 +129,7 @@
 #include "serve/session.hh"
 #include "util/logging.hh"
 #include "x86/model.hh"
+#include "x86/parallel.hh"
 
 using namespace parendi;
 
@@ -666,6 +668,20 @@ main(int argc, char **argv)
         if (const obs::SuperstepProfiler *prof = engine->profiler()) {
             obs::ProfileReport rep = obs::buildReport(*prof);
             std::printf("%s", obs::formatReport(rep).c_str());
+            if (const auto *par =
+                    dynamic_cast<const rtl::ParallelInterpreter *>(engine)) {
+                const rtl::ParallelInterpreter::Placement &pl =
+                    par->placement();
+                std::printf("placement: %zu shards, duplication %.3f "
+                            "(%llu shard nodes / %llu distinct), %llu "
+                            "shard instrs, exchange %llu words/cycle\n",
+                            pl.shards, pl.duplication(),
+                            static_cast<unsigned long long>(pl.shardNodes),
+                            static_cast<unsigned long long>(pl.unionNodes),
+                            static_cast<unsigned long long>(pl.shardInstrs),
+                            static_cast<unsigned long long>(
+                                pl.exchangeWords));
+            }
 
             // Modeled counterpart: the IPU cost model for the ipu
             // engine, the x86 Verilator model (at the same thread
@@ -711,8 +727,8 @@ main(int argc, char **argv)
         }
 
         // Close the telemetry loop: attribute this run's measured eval
-        // ticks back to fibers and persist them, so the next run's LPT
-        // packs on measured instead of modeled costs.
+        // ticks back to fibers and persist them, so the next run's
+        // placement weighs measured instead of modeled costs.
         if (!args.costProfile.empty()) {
             obs::CostProfile measured;
             if (engine->collectCostProfile(measured) &&

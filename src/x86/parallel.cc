@@ -1,13 +1,14 @@
 #include "x86/parallel.hh"
 
 #include <algorithm>
-#include <numeric>
+#include <cmath>
 #include <thread>
 #include <vector>
 
 #include "fiber/fiber.hh"
 #include "obs/costprofile.hh"
-#include "partition/process.hh"
+#include "partition/strategy.hh"
+#include "util/bitset.hh"
 #include "util/logging.hh"
 
 namespace parendi::rtl {
@@ -38,30 +39,54 @@ fiberCostKey(const Netlist &nl, const fiber::Fiber &f)
 } // namespace
 
 std::vector<std::vector<uint32_t>>
-ParallelInterpreter::lptAssign(const std::vector<double> &weights,
-                               size_t nshards)
+ParallelInterpreter::place(const std::vector<double> &weights,
+                           size_t nshards)
 {
-    // Heaviest fiber first onto the least-loaded shard. Ties break on
-    // ascending fiber index so the packing (and thus the shard
-    // programs) is deterministic; weights are floored at 1 so
-    // zero-cost fibers still spread instead of piling on shard 0.
-    std::vector<uint32_t> order(weights.size());
-    std::iota(order.begin(), order.end(), 0u);
-    std::stable_sort(order.begin(), order.end(),
-                     [&weights](uint32_t a, uint32_t b) {
-                         return weights[a] > weights[b];
-                     });
-    std::vector<double> load(nshards, 0);
-    std::vector<std::vector<uint32_t>> assign(nshards);
-    for (uint32_t fi : order) {
-        size_t best = 0;
-        for (size_t s = 1; s < nshards; ++s)
-            if (load[s] < load[best])
-                best = s;
-        load[best] += std::max(1.0, weights[fi]);
-        assign[best].push_back(fi);
+    // Node weights are integers: rescale so they sum to 2^32, which
+    // keeps the ratios of costs given in any unit.
+    double sum = 0;
+    for (double w : weights)
+        sum += w;
+    const double scale = sum > 0 ? 4294967296.0 / sum : 1.0;
+    for (size_t fi = 0; fi < weights.size(); ++fi)
+        placeGraph_.nodeWeight[fi] = static_cast<uint64_t>(
+            std::llround(std::max(0.0, weights[fi]) * scale));
+    return partition::placeFibers(placeGraph_,
+                                  static_cast<uint32_t>(nshards));
+}
+
+void
+ParallelInterpreter::buildShards(
+    const std::vector<std::vector<uint32_t>> &assign, uint32_t lanes)
+{
+    // Each shard's node set is the ascending union of its fibers'
+    // cones: mark the cones in a bitset, then collect the set bits.
+    const size_t n = nl_.numNodes();
+    DenseBitset all(n);
+    std::vector<std::vector<NodeId>> nodeSets(assign.size());
+    placement_ = Placement{};
+    for (size_t s = 0; s < assign.size(); ++s) {
+        DenseBitset mark(n);
+        for (uint32_t fi : assign[s])
+            for (NodeId id : fibers_[fi].cone)
+                mark.set(id);
+        nodeSets[s].reserve(mark.count());
+        mark.forEach([&](size_t id) {
+            nodeSets[s].push_back(static_cast<NodeId>(id));
+        });
+        placement_.shardNodes += nodeSets[s].size();
+        all |= mark;
     }
-    return assign;
+    placement_.unionNodes = all.count();
+
+    shards_ = ShardSet(nl_, nodeSets, lower_, lanes);
+    shards_.setFused(fusedWanted_);
+    assignment_ = assign;
+    placement_.shards = shards_.size();
+    for (size_t s = 0; s < shards_.size(); ++s)
+        placement_.shardInstrs += shards_.program(s).instrs.size();
+    for (const ShardSet::RegMessage &m : shards_.regMessages())
+        placement_.exchangeWords += m.words;
 }
 
 ParallelInterpreter::ParallelInterpreter(Netlist netlist,
@@ -77,7 +102,7 @@ ParallelInterpreter::ParallelInterpreter(Netlist netlist,
     // buy no concurrency and only add cross-shard exchange traffic
     // and barrier parties. The partition is bit-exact at any shard
     // count, so requesting 8 threads on a 2-core host simply yields
-    // the 2-shard packing. A shared pool pins the width instead: the
+    // the 2-shard placement. A shared pool pins the width instead: the
     // pool's worker count is the parallelism actually available.
     const uint32_t maxw = cfg.pool ? cfg.pool->threads()
         : cfg.maxWorkers
@@ -89,20 +114,24 @@ ParallelInterpreter::ParallelInterpreter(Netlist netlist,
         1, std::min<size_t>(std::min<uint32_t>(threads, maxw),
                             fs.size()));
 
-    // Keep each fiber's cone, static cost and stable name: the
-    // telemetry-directed repartitioner re-packs these without
-    // re-running fiber extraction.
+    // Keep each fiber's cone, static cost and stable name, and the
+    // placement hypergraph: repartitioning re-weights its nodes and
+    // re-partitions without re-running fiber extraction.
     fibers_.resize(fs.size());
+    std::vector<uint64_t> staticW(fs.size());
     for (size_t fi = 0; fi < fs.size(); ++fi) {
         fibers_[fi].cone = fs[fi].cone;
         fibers_[fi].staticCost = static_cast<double>(fs[fi].totalX86);
         fibers_[fi].key = fiberCostKey(nl_, fs[fi]);
+        staticW[fi] = fs[fi].totalX86;
     }
+    placeGraph_ = partition::fiberHypergraph(fs, staticW, fs.sharedX86());
 
-    // LPT weights: the static x86 cost, or — when a measured profile
-    // is supplied — each fiber's recorded cost, with unseen fibers
-    // falling back to their static cost rescaled into the profile's
-    // unit (the ratio is taken over the fibers both sides know).
+    // Placement weights: the static x86 cost, or — when a measured
+    // profile is supplied — each fiber's recorded cost, with unseen
+    // fibers falling back to their static cost rescaled into the
+    // profile's unit (the ratio is taken over the fibers both sides
+    // know).
     std::vector<double> weights(fibers_.size());
     for (size_t fi = 0; fi < fibers_.size(); ++fi)
         weights[fi] = fibers_[fi].staticCost;
@@ -124,15 +153,11 @@ ParallelInterpreter::ParallelInterpreter(Netlist netlist,
         }
     }
 
-    assignment_ = lptAssign(weights, nshards);
-    std::vector<std::vector<NodeId>> nodeSets(nshards);
-    for (size_t s = 0; s < nshards; ++s)
-        for (uint32_t fi : assignment_[s])
-            nodeSets[s] =
-                partition::sortedUnion(nodeSets[s], fibers_[fi].cone);
-
-    shards_ = ShardSet(nl_, nodeSets, lower, cfg.replicas);
-    shards_.setFused(cfg.fused);
+    std::vector<std::vector<uint32_t>> assign = place(weights, nshards);
+    // A design without sinks still runs on one (empty) shard.
+    if (assign.empty())
+        assign.resize(1);
+    buildShards(assign, cfg.replicas);
     if (cfg.pool) {
         pool_ = cfg.pool;
         poolShared_ = true;
@@ -316,8 +341,8 @@ ParallelInterpreter::fiberWeightsFrom(
     // Each shard's measured eval ticks are attributed to its fibers
     // proportional to their static cost — the finest attribution the
     // per-shard straggler stat supports. Shards the profiler never
-    // sampled keep their static weights (scaled consistently only by
-    // LPT's relative comparisons, which is all that matters).
+    // sampled keep their static weights (placement rescales weights to
+    // a common total, so only their ratios matter).
     std::vector<double> w(fibers_.size(), 1.0);
     for (size_t s = 0; s < assignment_.size(); ++s) {
         double staticSum = 0;
@@ -364,14 +389,7 @@ ParallelInterpreter::rebuildShards(
     core::ArchState st;
     shards_.exportArch(st);
 
-    std::vector<std::vector<NodeId>> nodeSets(assign.size());
-    for (size_t s = 0; s < assign.size(); ++s)
-        for (uint32_t fi : assign[s])
-            nodeSets[s] =
-                partition::sortedUnion(nodeSets[s], fibers_[fi].cone);
-
-    shards_ = ShardSet(nl_, nodeSets, lower_, st.lanes);
-    shards_.setFused(fusedWanted_);
+    buildShards(assign, st.lanes);
     if (wantNative_) {
         size_t attached = cgenAttachShards(shards_, cgenOpt_);
         native_ = attached == shards_.size() && attached > 0;
@@ -384,7 +402,6 @@ ParallelInterpreter::rebuildShards(
     // set continues bit-identically (and, with activity on, marks
     // everything dirty for the first guarded eval).
     shards_.importArch(st);
-    assignment_ = assign;
     ++rebalances_;
 }
 
@@ -395,7 +412,7 @@ ParallelInterpreter::rebalanceNow()
     if (shards_.size() < 2 || !ticksSinceBase(delta))
         return false;
     std::vector<std::vector<uint32_t>> assign =
-        lptAssign(fiberWeightsFrom(delta), assignment_.size());
+        place(fiberWeightsFrom(delta), assignment_.size());
     // Reset the skew window at every decision, taken or not.
     const std::vector<obs::ShardEvalStat> &stats = profiler_->shardEval();
     ticksBase_.resize(stats.size());

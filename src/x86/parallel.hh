@@ -2,12 +2,14 @@
  * @file
  * ParallelInterpreter: a functional multi-threaded host engine (the
  * "thousand-way parallel" execution model run at host scale). The
- * design is decomposed into fibers (paper §3.1) which are packed onto
- * one shard per worker thread by LPT over the x86 cost model; the
- * shards execute as an rtl::ShardSet on a persistent util::BspPool,
- * i.e. the exact BSP cycle the simulated IPU machine runs, so the
- * engine is bit-identical to the reference rtl::Interpreter at any
- * thread count by construction.
+ * design is decomposed into fibers (paper §3.1) which are placed onto
+ * one shard per worker thread by a balanced min-connectivity cut of
+ * the RepCut-style fiber hypergraph (paper §5.1, §6.4.1), so shared
+ * logic is duplicated, and registers are exchanged, as little as
+ * possible. The shards execute as an rtl::ShardSet on a persistent
+ * util::BspPool, i.e. the exact BSP cycle the simulated IPU machine
+ * runs, so the engine is bit-identical to the reference
+ * rtl::Interpreter at any thread count by construction.
  *
  * Declared in namespace parendi::rtl (it is an RTL engine), built in
  * parendi_x86 because the fiber decomposition lives above parendi_rtl
@@ -22,6 +24,7 @@
 #include <string>
 
 #include "core/engine.hh"
+#include "partition/hypergraph.hh"
 #include "rtl/cgen.hh"
 #include "rtl/netlist.hh"
 #include "rtl/shard.hh"
@@ -68,8 +71,8 @@ struct ParConfig
      *  lock-step (threads × lanes total instances). 1 = scalar. */
     uint32_t replicas = 1;
     /**
-     * Measured per-fiber costs (see obs::CostProfile) driving the
-     * initial LPT packing in place of the static x86 model. Keys
+     * Measured per-fiber costs (see obs::CostProfile) weighting the
+     * initial placement in place of the static x86 model. Keys
      * missing from the profile fall back to their static cost, scaled
      * into the profile's unit by the fibers both sides know. Null or
      * empty = static costs. Only read during construction.
@@ -78,10 +81,10 @@ struct ParConfig
     /**
      * Telemetry-directed repartitioning threshold: after each stepped
      * batch, when the profiled per-shard eval-tick skew (max/mean over
-     * the window since the last check) exceeds this ratio, re-run LPT
-     * on the measured costs and migrate the architectural state onto
-     * the new packing. Needs an attached profiler and batched fused
-     * stepping to fire. 0 = off.
+     * the window since the last check) exceeds this ratio, re-place
+     * the fibers on the measured costs and migrate the architectural
+     * state onto the new placement. Needs an attached profiler and
+     * batched fused stepping to fire. 0 = off.
      */
     double rebalance = 0.0;
 };
@@ -156,7 +159,7 @@ class ParallelInterpreter : public core::SimEngine
     }
 
     /**
-     * Attribute each shard's profiled eval ticks to the fibers packed
+     * Attribute each shard's profiled eval ticks to the fibers placed
      * on it (proportional to their static cost within the shard) and
      * export the result keyed by stable fiber names. Requires an
      * attached profiler that has sampled at least one cycle.
@@ -165,11 +168,11 @@ class ParallelInterpreter : public core::SimEngine
 
     /**
      * Repartition now from the measured per-shard eval ticks
-     * accumulated since the last rebalance window: re-run LPT on the
-     * measured fiber costs, and if the packing changes, migrate the
+     * accumulated since the last rebalance window: re-place the fibers
+     * on the measured costs, and if the placement changes, migrate the
      * architectural state onto it (same shard count; native kernels,
      * profiler and activity guards are re-attached). Returns true iff
-     * the packing changed. Needs profiled samples; false otherwise.
+     * the placement changed. Needs profiled samples; false otherwise.
      */
     bool rebalanceNow();
 
@@ -221,9 +224,34 @@ class ParallelInterpreter : public core::SimEngine
 
     bool fused() const { return shards_.fused(); }
 
+    /** Quality of the current fiber placement. */
+    struct Placement
+    {
+        size_t shards = 0;
+        uint64_t shardNodes = 0;    ///< Σ nodes over the shards
+        uint64_t unionNodes = 0;    ///< distinct nodes over the shards
+        uint64_t shardInstrs = 0;   ///< Σ lowered shard instructions
+        /** Register words the exchange moves per cycle, per lane. */
+        uint64_t exchangeWords = 0;
+
+        /** Shared logic computed more than once: Σ shard nodes over
+         *  distinct nodes (1 = nothing duplicated). */
+        double
+        duplication() const
+        {
+            return unionNodes ? static_cast<double>(shardNodes) /
+                    static_cast<double>(unionNodes)
+                              : 1.0;
+        }
+    };
+    const Placement &placement() const { return placement_; }
+
+    /** The shard programs and exchange schedule now running. */
+    const ShardSet &shards() const { return shards_; }
+
   private:
     /** One fiber's partitioning summary, kept after construction so
-     *  measured-cost repartitioning can re-pack without re-running
+     *  measured-cost repartitioning can re-place without re-running
      *  fiber extraction. */
     struct FiberCost
     {
@@ -232,10 +260,15 @@ class ParallelInterpreter : public core::SimEngine
         std::string key;            ///< stable CostProfile key
     };
 
-    /** LPT: heaviest fiber first onto the least-loaded of
-     *  @p nshards shards; ties break on ascending fiber index. */
-    static std::vector<std::vector<uint32_t>>
-    lptAssign(const std::vector<double> &weights, size_t nshards);
+    /** Place the fibers onto @p nshards shards (partition::placeFibers)
+     *  with @p weights, in any unit, as the fiber node weights. */
+    std::vector<std::vector<uint32_t>>
+    place(const std::vector<double> &weights, size_t nshards);
+
+    /** Build the shard set for @p assign with @p lanes replica lanes
+     *  and record its placement quality. */
+    void buildShards(const std::vector<std::vector<uint32_t>> &assign,
+                     uint32_t lanes);
 
     /** Tear down the shard set and rebuild it for @p assign (same
      *  shard count), migrating the architectural state and
@@ -269,7 +302,9 @@ class ParallelInterpreter : public core::SimEngine
 
     // Repartitioning state (see rebuildShards).
     std::vector<FiberCost> fibers_;
+    partition::Hypergraph placeGraph_;  ///< fiber hypergraph (placeFibers)
     std::vector<std::vector<uint32_t>> assignment_;  ///< fibers per shard
+    Placement placement_;
     LowerOptions lower_;
     double rebalance_ = 0.0;
     bool fusedWanted_ = true;

@@ -14,11 +14,14 @@
 #include <atomic>
 #include <sstream>
 #include <thread>
+#include <tuple>
 #include <vector>
 
+#include "ckpt/snapshot.hh"
 #include "core/compiler.hh"
 #include "core/engine.hh"
 #include "core/session.hh"
+#include "designs/designs.hh"
 #include "random_netlist.hh"
 #include "rtl/interp.hh"
 #include "util/bsp_pool.hh"
@@ -213,6 +216,67 @@ TEST(ParallelInterpreter, ShardCountClampsToFibers)
     EXPECT_LE(sim.numShards(), 2u);
     sim.step(3);
     EXPECT_EQ(sim.peekRegister("r").toUint64(), 4u);
+}
+
+TEST(ParallelEquiv, BuiltinDesignsMatchReference)
+{
+    // Design scale, not random netlists: on sr4 and lr2 the placement
+    // duplicates and cuts real shared logic, and the shard programs,
+    // exchange schedule and activity guards must still reproduce the
+    // reference interpreter's architectural state exactly.
+    for (const char *name : {"sr4", "lr2"}) {
+        Netlist nl = name[0] == 's' ? designs::makeSr(4)
+                                    : designs::makeLr(2);
+        Interpreter ref(nl);
+        ref.step(500);
+        const uint64_t want = ckpt::archStateFnv(ref);
+        for (uint32_t threads : {2u, 4u}) {
+            for (bool activity : {false, true}) {
+                rtl::ParConfig pcfg;
+                pcfg.maxWorkers = threads;
+                ParallelInterpreter par(nl, threads, rtl::LowerOptions{},
+                                        pcfg);
+                ASSERT_EQ(par.numShards(), threads) << name;
+                ASSERT_TRUE(par.setActivity(activity)) << name;
+                par.step(500);
+                EXPECT_EQ(ckpt::archStateFnv(par), want)
+                    << name << " threads=" << threads
+                    << " activity=" << activity;
+            }
+        }
+    }
+}
+
+TEST(ParallelInterpreter, PlacementAvoidsDuplicationAndCutsFewRegisters)
+{
+    // sr4 on 4 shards: the replication-aware placement computes little
+    // shared logic twice and exchanges few register words per cycle,
+    // and it is deterministic (fixed seed, canonical shard order).
+    Netlist nl = designs::makeSr(4);
+    Interpreter ref(nl);
+    rtl::ParConfig pcfg;
+    pcfg.maxWorkers = 4;
+    ParallelInterpreter a(nl, 4, rtl::LowerOptions{}, pcfg);
+    ParallelInterpreter b(nl, 4, rtl::LowerOptions{}, pcfg);
+
+    const ParallelInterpreter::Placement &pl = a.placement();
+    ASSERT_EQ(pl.shards, 4u);
+    EXPECT_LE(static_cast<double>(pl.shardInstrs),
+              1.3 * static_cast<double>(ref.program().instrs.size()));
+    EXPECT_LE(static_cast<double>(pl.exchangeWords),
+              0.5 * static_cast<double>(nl.numRegisters()));
+    EXPECT_GE(pl.duplication(), 1.0);
+
+    auto fields = [](const rtl::ShardSet::RegMessage &m) {
+        return std::tuple(m.ownerShard, m.ownerSlot, m.readerShard,
+                          m.readerSlot, m.readerReg, m.words, m.bytes,
+                          m.pubOffset);
+    };
+    const auto &ma = a.shards().regMessages();
+    const auto &mb = b.shards().regMessages();
+    ASSERT_EQ(ma.size(), mb.size());
+    for (size_t i = 0; i < ma.size(); ++i)
+        ASSERT_EQ(fields(ma[i]), fields(mb[i])) << "message " << i;
 }
 
 TEST(ParallelEquiv, EngineFactoryBuildsEveryKind)

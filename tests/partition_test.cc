@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "designs/designs.hh"
 #include "partition/hypergraph.hh"
 #include "partition/makespan.hh"
@@ -136,6 +138,31 @@ TEST(Hypergraph, RespectsBalanceForLargeK)
         (1 + opt.epsilon)) + 1;
     for (uint64_t w : pw)
         EXPECT_LE(w, limit);
+}
+
+TEST(Hypergraph, PlaceFibersGivesNonEmptyCanonicalGroups)
+{
+    // Every fiber lands in exactly one group, no group is empty even
+    // when k reaches the node count, and groups come ordered by first
+    // fiber so equal placements compare equal.
+    Hypergraph hg = twoClusters(8);
+    for (uint32_t k : {1u, 2u, 5u, 16u, 40u}) {
+        std::vector<std::vector<uint32_t>> groups = placeFibers(hg, k);
+        ASSERT_EQ(groups.size(), std::min<size_t>(k, hg.numNodes()));
+        std::vector<int> seen(hg.numNodes(), 0);
+        for (size_t g = 0; g < groups.size(); ++g) {
+            ASSERT_FALSE(groups[g].empty()) << "k=" << k;
+            ASSERT_TRUE(std::is_sorted(groups[g].begin(), groups[g].end()));
+            if (g > 0) {
+                ASSERT_LT(groups[g - 1][0], groups[g][0]);
+            }
+            for (uint32_t v : groups[g])
+                ++seen[v];
+        }
+        for (int c : seen)
+            ASSERT_EQ(c, 1) << "k=" << k;
+        EXPECT_EQ(placeFibers(hg, k), groups) << "k=" << k;
+    }
 }
 
 TEST(Hypergraph, ConnectivityCostSanity)
