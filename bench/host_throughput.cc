@@ -19,11 +19,7 @@
  * counts.
  *
  * `--threads-sweep` widens the par and par-cgen rows to thread counts
- * 1/2/4/8 (the scaling curve for the fused-superstep engine). The
- * matrix always includes a `par-phased` row at 8 requested threads
- * with the hardware-concurrency worker clamp overridden: the PR4
- * four-barrier configuration, kept as the reference point the CI
- * scaling guard compares the fused engine against.
+ * 1/2/4/8 (the scaling curve for the fused-superstep engine).
  *
  * `--replicas-sweep` appends gang-simulation rows: the cgen engine and
  * par-cgen (4 threads) at R = 1/4/8/16 replica lanes on pico and
@@ -293,16 +289,14 @@ measureCyclesPerSec(core::SimEngine &engine, size_t cycles)
 /**
  * Measure the engine's r_cycle decomposition (after the throughput
  * measurement, so profiling overhead cannot contaminate it) and store
- * it on the record as shares of the sampled wall time. No-op for
- * engines without instrumentation.
+ * it on the record as shares of the sampled wall time.
  */
 void
 attachMeasuredSplit(core::SimEngine &engine, bench::PerfRecord &rec)
 {
     obs::ProfileOptions popt;
     popt.sampleEvery = 4;
-    if (!engine.enableProfiling(popt))
-        return;
+    engine.enableProfiling(popt);
     engine.step(bench::fastMode() ? 256 : 1024);
     obs::ProfileReport rep = obs::buildReport(*engine.profiler());
     if (rep.sampledWallSec <= 0)
@@ -381,18 +375,6 @@ runEngineMatrixFor(const std::string &design, size_t cycles,
         rtl::ParallelInterpreter sim(bench::makeOptimized(design),
                                      threads);
         record("par", threads, sim);
-    }
-    {
-        // The PR4 configuration as a guard row: four-barrier phased
-        // supersteps with the worker clamp overridden, so all eight
-        // workers are real even when the host has fewer cores. The CI
-        // scaling guard asserts the fused par row beats this one.
-        rtl::ParConfig pcfg;
-        pcfg.fused = false;
-        pcfg.maxWorkers = 8;
-        rtl::ParallelInterpreter sim(bench::makeOptimized(design), 8,
-                                     rtl::LowerOptions{}, pcfg);
-        record("par-phased", 8, sim);
     }
     for (uint32_t threads : cgen_threads) {
         // Same BSP supersteps, native evaluate phase (--engine par

@@ -13,6 +13,7 @@
 
 #include "core/compiler.hh"
 #include "designs/designs.hh"
+#include "util/strcat.hh"
 
 using namespace parendi;
 
@@ -54,8 +55,7 @@ main(int argc, char **argv)
     std::printf("\nper-node rx counts:\n");
     for (uint32_t y = 0; y < n; ++y) {
         for (uint32_t x = 0; x < n; ++x) {
-            std::string nm = "n" + std::to_string(x) + "_" +
-                std::to_string(y) + "_rx";
+            std::string nm = strCat("n", x, "_", y, "_rx");
             std::printf("%8llu",
                         static_cast<unsigned long long>(
                             sim->machine().peekRegister(nm)
@@ -74,8 +74,7 @@ main(int argc, char **argv)
                 std::printf("  n%u_%u: (uncore)\n", x, y);
                 continue;
             }
-            std::string px = "n" + std::to_string(x) + "_" +
-                std::to_string(y) + "_c_";
+            std::string px = strCat("n", x, "_", y, "_c_");
             uint64_t instret = sim->machine()
                 .peekRegister(px + "csr_instret").toUint64();
             uint64_t hits = sim->machine()

@@ -75,8 +75,7 @@ PackedImage packArchState(const core::ArchState &st);
 void unpackArchState(const PackedImage &img, core::ArchState &st);
 
 /** The golden digest of an engine's architectural state: FNV-1a of
- *  the packed image plus the cycle count. fatal() when the engine
- *  has no architectural export. */
+ *  the packed image plus the cycle count. */
 uint64_t archStateFnv(const core::SimEngine &engine);
 
 /**
@@ -89,7 +88,7 @@ class SnapshotWriter
   public:
     SnapshotWriter(std::ostream &out, const rtl::Netlist &nl);
 
-    /** Snapshot @p engine (exportArch; fatal() when unsupported). */
+    /** Snapshot @p engine (through exportArch). */
     void write(const core::SimEngine &engine);
 
     /** Append one record holding @p st. */

@@ -7,7 +7,6 @@
 #include "core/compiler.hh"
 #include "obs/costprofile.hh"
 #include "rtl/cgen.hh"
-#include "rtl/event.hh"
 #include "rtl/interp.hh"
 #include "util/logging.hh"
 #include "x86/parallel.hh"
@@ -19,8 +18,6 @@ tryParseEngineKind(const std::string &name, EngineKind &kind)
 {
     if (name == "interp")
         kind = EngineKind::Interp;
-    else if (name == "event")
-        kind = EngineKind::Event;
     else if (name == "ipu")
         kind = EngineKind::Ipu;
     else if (name == "par")
@@ -37,7 +34,7 @@ parseEngineKind(const std::string &name)
 {
     EngineKind kind;
     if (!tryParseEngineKind(name, kind))
-        fatal("unknown engine '%s' (expected interp|event|ipu|par|cgen)",
+        fatal("unknown engine '%s' (expected interp|ipu|par|cgen)",
               name.c_str());
     return kind;
 }
@@ -101,15 +98,15 @@ class CompiledIpuEngine : public SimEngine
     {
         sim_->machine().peekRegisterInto(reg, out);
     }
-    bool
+    void
     exportArch(ArchState &out) const override
     {
-        return sim_->machine().exportArch(out);
+        sim_->machine().exportArch(out);
     }
-    bool
+    void
     importArch(const ArchState &st) override
     {
-        return sim_->machine().importArch(st);
+        sim_->machine().importArch(st);
     }
     bool
     enableProfiling(const obs::ProfileOptions &opt) override
@@ -196,10 +193,9 @@ makeEngine(rtl::Netlist nl, const EngineOptions &opt)
         warn("native kernels (--cgen) only apply to the par and cgen "
              "engines; ignoring");
     uint32_t replicas = opt.replicas ? opt.replicas : 1;
-    if (replicas > 1 &&
-        (opt.kind == EngineKind::Event || opt.kind == EngineKind::Ipu)) {
+    if (replicas > 1 && opt.kind == EngineKind::Ipu) {
         warn("gang simulation (--replicas) is not supported by the "
-             "event and ipu engines; running a single replica");
+             "ipu engine; running a single replica");
         replicas = 1;
     }
     maybeWarnGangCacheCliff(nl, replicas);
@@ -208,10 +204,6 @@ makeEngine(rtl::Netlist nl, const EngineOptions &opt)
       case EngineKind::Interp:
         engine = std::make_unique<rtl::Interpreter>(std::move(nl),
                                                     opt.lower, replicas);
-        break;
-      case EngineKind::Event:
-        engine = std::make_unique<rtl::EventInterpreter>(std::move(nl),
-                                                         opt.lower);
         break;
       case EngineKind::Cgen: {
         rtl::CgenOptions ccfg;
@@ -223,11 +215,9 @@ makeEngine(rtl::Netlist nl, const EngineOptions &opt)
       }
       case EngineKind::Par: {
         rtl::ParConfig pcfg;
-        pcfg.fused = opt.fused;
         pcfg.batch = opt.batch;
         pcfg.pool = opt.pool;
         pcfg.replicas = replicas;
-        pcfg.rebalance = opt.rebalance;
         obs::CostProfile measured;
         if (!opt.costProfileIn.empty() &&
             measured.load(opt.costProfileIn) && !measured.empty()) {
@@ -251,7 +241,6 @@ makeEngine(rtl::Netlist nl, const EngineOptions &opt)
         copt.lower = opt.lower;
         copt.machine.lower = opt.lower;
         copt.machine.hostThreads = opt.threads;
-        copt.machine.fused = opt.fused;
         copt.machine.batch = opt.batch;
         engine = std::make_unique<CompiledIpuEngine>(
             compile(std::move(nl), copt));
@@ -261,22 +250,13 @@ makeEngine(rtl::Netlist nl, const EngineOptions &opt)
     if (!engine)
         panic("unhandled engine kind");
     // Activity-guarded eval (default on; --activity 0 is the
-    // always-eval A/B baseline). Engines without a guarded path —
-    // event, ipu, or a program whose activity plan could not be
-    // built — return false and keep running always-eval.
+    // always-eval A/B baseline). Engines without a guarded path — ipu,
+    // or a program whose activity plan could not be built — return
+    // false and keep running always-eval.
     if (opt.activity)
         engine->setActivity(true);
-    // Telemetry-directed repartitioning reads the profiler's
-    // per-shard straggler stats, so --rebalance implies --profile.
-    const bool needProfile = opt.profile || opt.rebalance > 0;
-    if (needProfile && !engine->enableProfiling(opt.profileOpt)) {
-        if (opt.profile)
-            warn("engine %s has no runtime instrumentation; --profile "
-                 "ignored", engine->engineName());
-        else
-            warn("engine %s has no runtime instrumentation; "
-                 "--rebalance ignored", engine->engineName());
-    }
+    if (opt.profile)
+        engine->enableProfiling(opt.profileOpt);
     return engine;
 }
 

@@ -1,8 +1,8 @@
 /**
  * @file
  * SimEngine: the uniform host-facing surface of every functional RTL
- * engine in the tree — the reference interpreter, the event-driven
- * interpreter, the simulated IPU machine, and the parallel host
+ * engine in the tree — the reference interpreter, the native cgen
+ * engine, the simulated IPU machine, and the parallel host
  * interpreter. Test harnesses, the VCD tracer, and the CLI driver
  * operate on this interface so any engine can be swapped in; the
  * engines are bit-identical by construction (they all execute lowered
@@ -70,7 +70,7 @@ class SimEngine
   public:
     virtual ~SimEngine() = default;
 
-    /** Stable identifier ("interp", "event", "ipu", "par", "cgen"). */
+    /** Stable identifier ("interp", "ipu", "par", "cgen"). */
     virtual const char *engineName() const = 0;
 
     /** The design this engine simulates. */
@@ -178,32 +178,23 @@ class SimEngine
      * Attach a runtime telemetry profiler (obs::SuperstepProfiler) to
      * this engine: monotonic counters every cycle, per-worker
      * superstep timestamps plus the per-shard straggler distribution
-     * every opt.sampleEvery-th cycle. Returns false if the engine has
-     * no instrumentation (the default; the event engine). Idempotent:
-     * a second call keeps the existing profiler.
+     * every opt.sampleEvery-th cycle. Every engine is instrumented, so
+     * this returns true. Idempotent: a second call keeps the existing
+     * profiler.
      */
-    virtual bool
-    enableProfiling(const obs::ProfileOptions &opt = obs::ProfileOptions{})
-    {
-        (void)opt;
-        return false;
-    }
+    virtual bool enableProfiling(
+        const obs::ProfileOptions &opt = obs::ProfileOptions{}) = 0;
 
     /** The attached profiler, or nullptr when profiling is off. */
-    virtual obs::SuperstepProfiler *profiler() { return nullptr; }
-    virtual const obs::SuperstepProfiler *
-    profiler() const
-    {
-        return nullptr;
-    }
+    virtual obs::SuperstepProfiler *profiler() = 0;
+    virtual const obs::SuperstepProfiler *profiler() const = 0;
 
     /**
      * Activity-guarded evaluation: skip combinational groups whose
      * input cone is unchanged since the previous cycle (see
      * rtl::EvalState::enableActivity). Bit-identical to always-eval by
      * construction. Returns false when the engine has no guarded path
-     * (the default; the event and ipu engines) — always-eval stays in
-     * effect.
+     * (the default; the ipu engine) — always-eval stays in effect.
      */
     virtual bool
     setActivity(bool on)
@@ -232,42 +223,30 @@ class SimEngine
      * Export the canonical architectural state (see ArchState) — the
      * engine's only checkpoint surface: the v2 checkpoint format
      * (src/ckpt, written by core::saveCheckpoint) serializes exactly
-     * this. Returns false when the engine has no architectural view
-     * (the default; the event engine, which therefore cannot be
-     * checkpointed).
+     * this.
      */
-    virtual bool
-    exportArch(ArchState &out) const
-    {
-        (void)out;
-        return false;
-    }
+    virtual void exportArch(ArchState &out) const = 0;
 
     /**
      * Import an architectural state exported by any engine of the
      * same design (and, for gang engines, the same lane count):
      * restores registers, memories, inputs and the cycle count, then
      * re-evaluates combinational logic, so the continuation is
-     * bit-identical to the exporting engine's. Returns false when
-     * unsupported; fatal() on a shape mismatch.
+     * bit-identical to the exporting engine's. fatal() on a shape
+     * mismatch.
      */
-    virtual bool
-    importArch(const ArchState &st)
-    {
-        (void)st;
-        return false;
-    }
+    virtual void importArch(const ArchState &st) = 0;
 };
 
 /** Which engine makeEngine() instantiates. */
-enum class EngineKind { Interp, Event, Ipu, Par, Cgen };
+enum class EngineKind { Interp, Ipu, Par, Cgen };
 
-/** Parse "interp" / "event" / "ipu" / "par" / "cgen" into @p kind;
+/** Parse "interp" / "ipu" / "par" / "cgen" into @p kind;
  *  false on an unknown name. The non-throwing form servers use to
  *  reject a bad create-session request without killing the process. */
 bool tryParseEngineKind(const std::string &name, EngineKind &kind);
 
-/** Parse "interp" / "event" / "ipu" / "par" / "cgen"; fatal()
+/** Parse "interp" / "ipu" / "par" / "cgen"; fatal()
  *  otherwise (the CLI path, where a bad name should end the run). */
 EngineKind parseEngineKind(const std::string &name);
 
@@ -275,26 +254,21 @@ struct EngineOptions
 {
     EngineKind kind = EngineKind::Ipu;
     /** Host worker threads for the ipu and par engines (0/1 =
-     *  sequential). Ignored by interp and event. */
+     *  sequential). Ignored by interp and cgen. */
     uint32_t threads = 0;
     /** Program lowering applied to whichever engine is built. */
     rtl::LowerOptions lower;
     /** Attach native codegen kernels (rtl/cgen) to the par engine's
-     *  shards. The cgen engine implies this; ipu/interp/event ignore
+     *  shards. The cgen engine implies this; ipu and interp ignore
      *  it. No-op (with a warning) when no toolchain is available. */
     bool cgen = false;
     /** Enable runtime telemetry (SimEngine::enableProfiling) on the
      *  built engine; profileOpt.sampleEvery is the --profile-every
-     *  CLI knob. Engines without instrumentation warn and run
-     *  unprofiled. */
+     *  CLI knob. */
     bool profile = false;
     obs::ProfileOptions profileOpt;
-    /** Fused single-barrier supersteps for the par and ipu engines
-     *  (the default; `--fused 0` selects the 4-barrier phased path).
-     *  Bit-identical either way. */
-    bool fused = true;
-    /** Fused path: cycles per pool dispatch (`--batch N`; 0 = each
-     *  step(n) call is one batch). */
+    /** Multi-worker par and ipu engines: cycles per pool dispatch
+     *  (`--batch N`; 0 = each step(n) call is one batch). */
     size_t batch = 0;
     /** Externally owned BSP worker pool for the par engine, shared
      *  across engines (the serving layer's fair-share scheduler steps
@@ -307,25 +281,19 @@ struct EngineOptions
     rtl::ArtifactCache *artifacts = nullptr;
     /** Gang simulation: replica lanes stepped in lock-step per cycle
      *  (`--replicas N`). Supported by the interp, cgen and par engines
-     *  (lanes compose with par threads); event and ipu warn and run a
-     *  single replica. 1 = scalar. */
+     *  (lanes compose with par threads); ipu warns and runs a single
+     *  replica. 1 = scalar. */
     uint32_t replicas = 1;
     /** Activity-guarded evaluation (`--activity`; default on): skip
      *  combinational groups whose inputs are unchanged. `--activity 0`
-     *  is the always-eval A/B baseline. Engines without a guarded path
-     *  (event, ipu) silently run always-eval. */
+     *  is the always-eval A/B baseline. The ipu engine has no guarded
+     *  path and silently runs always-eval. */
     bool activity = true;
     /** Load measured per-fiber costs from this file (see
      *  obs::CostProfile) and let the par engine's fiber placement use
      *  them in place of the static x86 cost model (`--cost-profile`).
      *  Missing or unreadable file: static costs with a warning. */
     std::string costProfileIn;
-    /** Telemetry-directed repartitioning (`--rebalance R`, par engine
-     *  only): between stepped batches, when the profiled per-shard
-     *  eval-tick skew max/mean exceeds R, re-place the fibers on the
-     *  measured costs and migrate state onto the new placement.
-     *  0 = off. Implies profiling. */
-    double rebalance = 0.0;
 };
 
 /**

@@ -9,14 +9,8 @@ namespace parendi::core {
 void
 saveCheckpoint(const SimEngine &engine, std::ostream &out)
 {
-    // Export before writing anything, so an engine without an
-    // architectural view leaves the stream untouched.
-    ArchState st;
-    if (!engine.exportArch(st))
-        fatal("engine %s has no checkpoint support",
-              engine.engineName());
     ckpt::SnapshotWriter writer(out, engine.netlist());
-    writer.write(st);
+    writer.write(engine);
 }
 
 void

@@ -46,9 +46,7 @@ inline constexpr uint64_t kCheckpointMagic = 0x54504b43444e5250ull;
  *  (headerless) and 1 (raw engine blob) are no longer readable. */
 inline constexpr uint32_t kCheckpointVersion = 2;
 
-/** Write @p engine's state as a one-record v2 snapshot chain.
- *  fatal() when the engine exports no architectural state (the event
- *  engine). */
+/** Write @p engine's state as a one-record v2 snapshot chain. */
 void saveCheckpoint(const SimEngine &engine, std::ostream &out);
 
 /**

@@ -15,6 +15,7 @@
 #include <array>
 
 #include "designs/common.hh"
+#include "util/strcat.hh"
 
 namespace parendi::designs {
 
@@ -62,7 +63,7 @@ makeBitcoin(const BitcoinConfig &cfg)
 {
     if (cfg.engines == 0 || cfg.zeroBits == 0 || cfg.zeroBits > 32)
         fatal("makeBitcoin: bad configuration");
-    Design d("bitcoin" + std::to_string(cfg.engines));
+    Design d(strCat("bitcoin", cfg.engines));
 
     // Shared round-constant ROM.
     MemId krom = d.memory("k_rom", 32, 64);
@@ -75,7 +76,7 @@ makeBitcoin(const BitcoinConfig &cfg)
 
     std::vector<Wire> founds;
     for (uint32_t e = 0; e < cfg.engines; ++e) {
-        std::string px = "e" + std::to_string(e) + "_";
+        std::string px = strCat("e", e, "_");
         // State registers: working vars, schedule window, midstate.
         std::array<RegId, 8> hv;  // a..h
         for (int i = 0; i < 8; ++i)
@@ -83,11 +84,11 @@ makeBitcoin(const BitcoinConfig &cfg)
                           32, kSha256Iv[i]);
         std::array<RegId, 16> w;
         for (int i = 0; i < 16; ++i)
-            w[i] = d.reg(px + "w" + std::to_string(i), 32,
+            w[i] = d.reg(strCat(px, "w", i), 32,
                          i == 3 ? e : kHeader[i]);
         std::array<RegId, 8> mid;
         for (int i = 0; i < 8; ++i)
-            mid[i] = d.reg(px + "h" + std::to_string(i), 32,
+            mid[i] = d.reg(strCat(px, "h", i), 32,
                            kSha256Iv[i]);
         RegId round = d.reg(px + "round", 7, 0);
         RegId phase = d.reg(px + "phase", 1, 0);

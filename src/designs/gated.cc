@@ -15,6 +15,7 @@
 #include "designs/designs.hh"
 
 #include "designs/common.hh"
+#include "util/strcat.hh"
 
 namespace parendi::designs {
 
@@ -27,7 +28,7 @@ makeGated(const GatedConfig &cfg)
         fatal("makeGated: need at least one unit");
     if (cfg.period < 2)
         fatal("makeGated: period must be at least 2 cycles");
-    Design d("gated" + std::to_string(cfg.units));
+    Design d(strCat("gated", cfg.units));
 
     // Control: the counter is the only state that changes every
     // cycle. The enable is REGISTERED (as a real clock gate's enable
@@ -48,7 +49,7 @@ makeGated(const GatedConfig &cfg)
     std::vector<Wire> states;
     states.reserve(cfg.units);
     for (uint32_t i = 0; i < cfg.units; ++i) {
-        RegId s = d.reg("u" + std::to_string(i), 32,
+        RegId s = d.reg(strCat("u", i), 32,
                         0x2545f491u ^ (i * 0x9e3779b9u + 1));
         Wire cur = d.read(s);
         Wire x = cur;

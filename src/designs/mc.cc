@@ -11,6 +11,7 @@
 #include "designs/designs.hh"
 
 #include "designs/common.hh"
+#include "util/strcat.hh"
 
 namespace parendi::designs {
 
@@ -21,7 +22,7 @@ makeMc(const McConfig &cfg)
 {
     if (cfg.lanes == 0 || cfg.stepsPerPath == 0)
         fatal("makeMc: bad configuration");
-    Design d("mc" + std::to_string(cfg.lanes));
+    Design d(strCat("mc", cfg.lanes));
 
     // Global step counter shared by all lanes.
     uint32_t cnt_w = 16;
@@ -38,7 +39,7 @@ makeMc(const McConfig &cfg)
     std::vector<Wire> accs;
     Wire strike = d.lit(32, cfg.strike);
     for (uint32_t lane = 0; lane < cfg.lanes; ++lane) {
-        std::string px = "l" + std::to_string(lane) + "_";
+        std::string px = strCat("l", lane, "_");
         RegId rng = d.reg(px + "rng", 32,
                           0x2545f491u ^ (lane * 0x9e3779b9u + 7));
         RegId price = d.reg(px + "price", 32, cfg.spot);

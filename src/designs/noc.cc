@@ -24,6 +24,7 @@
 
 #include "designs/common.hh"
 #include "designs/isa.hh"
+#include "util/strcat.hh"
 
 namespace parendi::designs {
 
@@ -67,7 +68,7 @@ makeMesh(const MeshConfig &cfg)
     uint32_t pw = large ? 64 : 16;                 // payload bits
     uint32_t fw = 1 + 4 * kCoordBits + pw;         // flit width
 
-    Design d((large ? "lr" : "sr") + std::to_string(n));
+    Design d(strCat(large ? "lr" : "sr", n));
 
     auto flit_fields = [&](Wire f) {
         FlitFields ff;
@@ -118,8 +119,7 @@ makeMesh(const MeshConfig &cfg)
     for (uint32_t y = 0; y < n; ++y) {
         for (uint32_t x = 0; x < n; ++x) {
             Node &nd = at(x, y);
-            std::string px =
-                "n" + std::to_string(x) + "_" + std::to_string(y) + "_";
+            std::string px = strCat("n", x, "_", y, "_");
             for (int p = 0; p < 5; ++p) {
                 nd.e0Reg[p] = d.reg(px + kPortName[p] + "0",
                                     static_cast<uint16_t>(fw), 0);

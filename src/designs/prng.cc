@@ -9,6 +9,7 @@
 
 #include "designs/common.hh"
 #include "util/rng.hh"
+#include "util/strcat.hh"
 
 namespace parendi::designs {
 
@@ -19,9 +20,9 @@ makePrngBank(uint32_t n)
 {
     if (n == 0)
         fatal("makePrngBank: need at least one generator");
-    Design d("prng" + std::to_string(n));
+    Design d(strCat("prng", n));
     for (uint32_t i = 0; i < n; ++i) {
-        RegId s = d.reg("s" + std::to_string(i), 32,
+        RegId s = d.reg(strCat("s", i), 32,
                         0x9e3779b9u ^ (i * 0x85ebca6bu + 1));
         Wire x = d.read(s);
         x = x ^ x.shl(13);

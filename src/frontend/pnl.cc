@@ -7,6 +7,7 @@
 
 #include "rtl/analysis.hh"
 #include "util/logging.hh"
+#include "util/strcat.hh"
 
 namespace parendi::frontend {
 
@@ -210,8 +211,7 @@ Parser::parse()
                     err("unknown op '" + op + "'");
                 int arity = opArity(it->second);
                 if (static_cast<int>(tok.size()) != 3 + arity)
-                    err(op + " takes " + std::to_string(arity) +
-                        " operand(s)");
+                    err(strCat(op, " takes ", arity, " operand(s)"));
                 if (arity == 1)
                     id = nl.addUnary(it->second, ref(nl, tok[3]));
                 else
@@ -275,7 +275,7 @@ writePnl(const Netlist &nl)
     // semantics.
     for (NodeId id = 0; id < nl.numNodes(); ++id) {
         const Node &n = nl.node(id);
-        auto lbl = [](NodeId x) { return "%" + std::to_string(x); };
+        auto lbl = [](NodeId x) { return strCat("%", x); };
         switch (n.op) {
           case Op::Const:
             out << lbl(id) << " = const " << n.width << " "

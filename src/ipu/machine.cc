@@ -20,7 +20,6 @@ IpuMachine::IpuMachine(const FiberSet &fs, const Partitioning &parts,
     parts.checkComplete(fs);
     buildTiles(fs, parts);
     accountCosts(fs, parts);
-    shards.setFused(opt.fused);
     hostWorkers_ = std::min<uint32_t>(
         opt.hostThreads, static_cast<uint32_t>(tiles.size()));
     // Same worker cap as the par engine: tiles far outnumber cores
@@ -32,7 +31,7 @@ IpuMachine::IpuMachine(const FiberSet &fs, const Partitioning &parts,
     hostWorkers_ = std::min(hostWorkers_, maxw);
     if (hostWorkers_ >= 2)
         pool = std::make_unique<util::BspPool>(hostWorkers_);
-    shards.evalAll(pool.get());
+    shards.evalAll();
 }
 
 void
@@ -185,9 +184,8 @@ IpuMachine::accountCosts(const FiberSet &fs, const Partitioning &parts)
 void
 IpuMachine::step(size_t n)
 {
-    // Fused batched dispatch on the pool (or phased cycles when
-    // opt.fused is off — stepCycles falls back to stepCycle). Without
-    // a pool, stepCycles runs the in-place phased cycle on the caller.
+    // Fused batched dispatch on the pool; without one, stepCycles runs
+    // the in-place cycle on the caller.
     size_t done = 0;
     while (done < n) {
         const size_t k =
@@ -215,7 +213,7 @@ IpuMachine::enableProfiling(const obs::ProfileOptions &popt)
 void
 IpuMachine::reset()
 {
-    shards.reset(pool.get());
+    shards.reset();
     cycleCount = 0;
 }
 

@@ -76,10 +76,6 @@ struct MachineOptions
      *  barriers). 0 = sequential execution. */
     uint32_t hostThreads = 0;
 
-    /** Pooled host path: fused single-barrier supersteps (default)
-     *  vs the 4-barrier phased sequence. Bit-identical either way. */
-    bool fused = true;
-
     /** Pooled fused path: cycles per pool dispatch (0 = each step(n)
      *  call is one batch). */
     size_t batch = 0;
@@ -136,19 +132,17 @@ class IpuMachine : public core::SimEngine
                           rtl::BitVec &out) const override;
 
     /** Canonical architectural state (see SimEngine / src/ckpt). */
-    bool
+    void
     exportArch(core::ArchState &out) const override
     {
         shards.exportArch(out);
         out.cycles = cycleCount;
-        return true;
     }
-    bool
+    void
     importArch(const core::ArchState &st) override
     {
         shards.importArch(st);
         cycleCount = st.cycles;
-        return true;
     }
 
     /** Attach an obs::SuperstepProfiler to the functional execution

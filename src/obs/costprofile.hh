@@ -4,8 +4,8 @@
  * runs. The static x86 cost model weighs the initial placement of
  * fibers onto shards; a profiled run attributes each shard's measured
  * eval ticks back to its fibers and saves them here, so the next run
- * (or an in-run rebalance) partitions on what the fibers actually
- * cost — the telemetry-directed repartitioning loop. Keys are stable
+ * partitions on what the fibers actually cost — the
+ * telemetry-directed repartitioning loop. Keys are stable
  * design names, not node ids, so a profile survives recompilation:
  *
  *     reg:<register name>         RegNext fiber

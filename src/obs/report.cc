@@ -123,8 +123,8 @@ buildReport(const SuperstepProfiler &prof)
         double work = 0;
         for (size_t p = 0; p < kWorkPhases; ++p)
             work += ticksToSeconds(a.maxTicks[p]);
-        // On the phased path the barriers serialize the phases, so
-        // the straggler maxima tile the span and sum below it. On the
+        // On the in-place path one thread runs the phases in order, so
+        // their times tile the span and sum below it. On the
         // fused path phases of *different* workers overlap (worker A
         // evaluates while worker B commits), so their maxima can
         // overshoot the span; normalize to the span in that case so

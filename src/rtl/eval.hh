@@ -500,8 +500,8 @@ class EvalState
     uint32_t lastGroupsRun() const { return lastGroupsRun_; }
     uint32_t lastGroupsTotal() const { return lastGroupsTotal_; }
 
-    /** Evaluate a single instruction (used by the event-driven
-     *  interpreter for selective re-evaluation). */
+    /** Evaluate a single instruction (the portable switch-dispatch
+     *  path). */
     void evalOne(const EvalInstr &in);
 
     /** Execute the scalar instruction range [ip, end) on the

@@ -129,7 +129,7 @@ Interpreter::poke(const std::string &input, uint64_t value)
     poke(input, BitVec(nl.input(id).width, value));
 }
 
-bool
+void
 Interpreter::exportArch(core::ArchState &out) const
 {
     uint32_t lanes = state->lanes();
@@ -160,10 +160,9 @@ Interpreter::exportArch(core::ArchState &out) const
         for (uint32_t l = 0; l < lanes; ++l)
             out.inputs[pp.port][l] =
                 state->readSlot(pp.slot, pp.width, l);
-    return true;
 }
 
-bool
+void
 Interpreter::importArch(const core::ArchState &st)
 {
     uint32_t lanes = state->lanes();
@@ -222,7 +221,6 @@ Interpreter::importArch(const core::ArchState &st)
     // commit -> latch -> eval, so at-rest comb state is a pure function
     // of regs + mems + inputs).
     state->evalComb();
-    return true;
 }
 
 BitVec

@@ -95,8 +95,8 @@ class Interpreter : public core::SimEngine
                           uint32_t lane) const override;
 
     /** Canonical architectural state (see SimEngine / src/ckpt). */
-    bool exportArch(core::ArchState &out) const override;
-    bool importArch(const core::ArchState &st) override;
+    void exportArch(core::ArchState &out) const override;
+    void importArch(const core::ArchState &st) override;
 
     const Netlist &netlist() const override { return nl; }
     const EvalProgram &program() const { return prog; }

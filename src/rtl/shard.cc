@@ -535,33 +535,20 @@ ShardSet::fusedCycleRange(size_t begin, size_t end, uint32_t worker,
 }
 
 void
-ShardSet::setFused(bool on)
-{
-    if (fused_ != on)
-        pubValid_ = false;
-    fused_ = on;
-}
-
-void
 ShardSet::stepCycles(util::BspPool *pool, uint64_t n)
 {
-    if (!fused_) {
-        for (uint64_t i = 0; i < n; ++i)
-            stepCycle(pool);
-        return;
-    }
     if (n == 0)
         return;
     const uint32_t nw =
         pool && size() > 1 ? pool->threads() : 1;
     if (nw <= 1) {
         // Single worker: fusion only removes barriers, and there are
-        // none — the phased in-place cycle (direct owner-slot
-        // exchange, no publish copy-out) is strictly cheaper than the
-        // fused bodies, so use it. stepCycle invalidates pubValid_,
-        // keeping a later multi-worker fused batch coherent.
+        // none — the in-place cycle (direct owner-slot exchange, no
+        // publish copy-out) is strictly cheaper than the fused bodies,
+        // so use it. stepCycle invalidates pubValid_, keeping a later
+        // multi-worker fused batch coherent.
         for (uint64_t i = 0; i < n; ++i)
-            stepCycle(pool);
+            stepCycle();
         return;
     }
     if (!pubValid_) {
@@ -618,84 +605,49 @@ ShardSet::stepCycles(util::BspPool *pool, uint64_t n)
 }
 
 void
-ShardSet::runPhase(util::BspPool *pool, obs::Phase phase,
+ShardSet::runPhase(obs::Phase phase,
                    void (ShardSet::*body)(size_t, size_t))
 {
-    const bool sampled = prof_ && prof_->sampling();
-    if (!pool) {
-        if (sampled) {
-            uint64_t t0 = obs::tick();
-            (this->*body)(0, size());
-            prof_->record(0, phase, t0, obs::tick());
-        } else {
-            (this->*body)(0, size());
-        }
-        return;
-    }
-    if (sampled) {
-        pool->forEach(
-            size(),
-            [this, phase, body](uint32_t w, size_t b, size_t e) {
-                uint64_t t0 = obs::tick();
-                (this->*body)(b, e);
-                prof_->record(w, phase, t0, obs::tick());
-            });
+    if (prof_ && prof_->sampling()) {
+        uint64_t t0 = obs::tick();
+        (this->*body)(0, size());
+        prof_->record(0, phase, t0, obs::tick());
     } else {
-        pool->forEach(size(), [this, body](size_t b, size_t e) {
-            (this->*body)(b, e);
-        });
+        (this->*body)(0, size());
     }
 }
 
 void
-ShardSet::commitBroadcasts(util::BspPool *pool)
+ShardSet::evalAll()
 {
-    runPhase(pool, obs::Phase::Commit, &ShardSet::commitRange);
+    runPhase(obs::Phase::Eval, &ShardSet::evalRange);
 }
 
 void
-ShardSet::latchRegisters(util::BspPool *pool)
+ShardSet::stepCycle()
 {
-    runPhase(pool, obs::Phase::Latch, &ShardSet::latchRange);
-}
-
-void
-ShardSet::exchangeRegisters(util::BspPool *pool)
-{
-    runPhase(pool, obs::Phase::Exchange, &ShardSet::exchangeRange);
-}
-
-void
-ShardSet::evalAll(util::BspPool *pool)
-{
-    runPhase(pool, obs::Phase::Eval, &ShardSet::evalRange);
-}
-
-void
-ShardSet::stepCycle(util::BspPool *pool)
-{
-    // Four supersteps realize the two BSP barriers of the machine
-    // model on the host: commit must finish before the latch may
-    // overwrite cur slots a write port reads from (a port's data
-    // operand can be a RegRead), the exchange reads owner cur slots
-    // the latch writes, and evaluation reads exchanged values.
+    // The phase order realizes the two BSP barriers of the machine
+    // model: commit must finish before the latch may overwrite cur
+    // slots a write port reads from (a port's data operand can be a
+    // RegRead), the exchange reads owner cur slots the latch writes,
+    // and evaluation reads exchanged values.
     profileCycleBegin();
-    commitBroadcasts(pool);
-    latchRegisters(pool);
-    exchangeRegisters(pool);
-    evalAll(pool);
+    runPhase(obs::Phase::Commit, &ShardSet::commitRange);
+    runPhase(obs::Phase::Latch, &ShardSet::latchRange);
+    runPhase(obs::Phase::Exchange, &ShardSet::exchangeRange);
+    evalAll();
     profileCycleEnd();
-    // Phased stepping advances state without publishing; a later
+    // In-place stepping advances state without publishing; a later
     // fused batch must republish from live slots.
     pubValid_ = false;
 }
 
 void
-ShardSet::reset(util::BspPool *pool)
+ShardSet::reset()
 {
     for (auto &st : states_)
         st->reset();
-    evalAll(pool);
+    evalAll();
     pubValid_ = false;
 }
 
@@ -975,8 +927,8 @@ ShardSet::importArch(const core::ArchState &st)
     // every combinational slot from the imported architectural state;
     // the next cycle's commit/latch then recompute deferred writes and
     // next values exactly as the exporting engine would have.
-    exchangeRegisters(nullptr);
-    evalAll(nullptr);
+    exchangeRange(0, size());
+    evalAll();
     pubValid_ = false;
 }
 

@@ -13,46 +13,41 @@
  *    port order, is re-applied to every replica of the array
  *    (differential exchange — address + data, not the whole array).
  *
- * One simulated cycle (stepCycle) is the BSP sequence
+ * One simulated cycle is the BSP sequence
  *
  *    commit broadcasts -> latch registers -> exchange registers ->
  *    evaluate combinational programs
  *
- * and every phase only writes state private to one shard, so each
- * phase parallelizes over shards on a util::BspPool with a barrier
- * between phases. The phase partitioning is chosen so the result is
- * bit-identical at any worker count:
+ * where every phase only writes state private to one shard:
  *
  *  - commit: each shard applies, in ascending global port order, the
- *    broadcasts that have a replica on it. A memory image is owned by
- *    exactly one shard, so colliding ports hit each image in port
- *    order; the owner's address/data/enable slots are read-only during
- *    the phase.
- *  - latch: copies next -> cur of locally owned registers only.
+ *    broadcasts that have a replica on it, so colliding ports hit each
+ *    image in port order;
+ *  - latch: copies next -> cur of locally owned registers only;
  *  - exchange: sharded by *reader*: each shard copies in every foreign
- *    register it reads. Destination slots are unique per message and
- *    the owner's cur slots are stable after the latch barrier.
+ *    register it reads;
  *  - evaluate: purely shard-private.
  *
- * The 4-barrier sequence is the reference semantics; the default
- * execution mode is the *fused* owner-computes superstep (stepCycles),
+ * stepCycle runs that sequence in place on the calling thread; it is
+ * the reference semantics and the single-worker path. With more than
+ * one worker, stepCycles runs the *fused* owner-computes superstep,
  * which needs one barrier per cycle. The trick is a double-buffered
  * publish area: at the end of cycle c every shard copies out, for each
  * owned register with foreign readers, the post-eval NEXT value (which
- * is exactly the post-latch value the phased exchange of cycle c+1
- * would deliver) and, for each owned write port, a pre-resolved
- * broadcast record [addr-or-skip, data words] (exactly the values the
- * phased commit of cycle c+1 would read, since nothing runs between
- * eval(c) and commit(c+1)). Cycle c+1 then serves commit and exchange
- * entirely from the stable cycle-c buffer while publishing into the
- * other one, so commit/latch/exchange/eval/publish all run
- * back-to-back per shard with no intervening barrier; a single
- * end-of-cycle barrier flips the buffers. Collision order is
- * preserved because replica application still walks ascending global
- * port order against identical records. Any out-of-band state
- * mutation (poke/reset/restore, or running phased steps in between)
- * invalidates the buffers; the next fused batch republishes from live
- * state.
+ * is exactly the post-latch value the exchange of cycle c+1 would
+ * deliver) and, for each owned write port, a pre-resolved broadcast
+ * record [addr-or-skip, data words] (exactly the values the commit of
+ * cycle c+1 would read, since nothing runs between eval(c) and
+ * commit(c+1)). Cycle c+1 then serves commit and exchange entirely
+ * from the stable cycle-c buffer while publishing into the other one,
+ * so commit/latch/exchange/eval/publish all run back-to-back per
+ * shard with no intervening barrier; a single end-of-cycle barrier
+ * flips the buffers. Collision order is preserved because replica
+ * application still walks ascending global port order against
+ * identical records, so the result is bit-identical to stepCycle at
+ * any worker count. Any out-of-band state mutation (poke, reset,
+ * restore, or in-place steps in between) invalidates the buffers; the
+ * next fused batch republishes from live state.
  */
 
 #ifndef PARENDI_RTL_SHARD_HH
@@ -144,32 +139,24 @@ class ShardSet
     /** Replica lanes every shard state steps per cycle (1 = scalar). */
     uint32_t lanes() const { return lanes_; }
 
-    // -- BSP execution (pool == nullptr -> sequential) -------------------
+    // -- BSP execution ---------------------------------------------------
 
-    /** Full cycle: commit -> latch -> exchange -> evaluate. Always
-     *  runs the phased (4-barrier) sequence regardless of setFused —
-     *  the reference semantics, and the phased A/B path. */
-    void stepCycle(util::BspPool *pool);
+    /** One full cycle in place on the calling thread: commit -> latch
+     *  -> exchange -> evaluate. */
+    void stepCycle();
 
     /**
-     * Run @p n cycles. In fused mode (the default) the whole batch is
-     * one pool dispatch: every worker executes its shards'
+     * Run @p n cycles. With more than one effective worker (a pool
+     * wider than one and more than one shard) the whole batch is one
+     * pool dispatch: every worker executes its shards'
      * commit/latch/exchange/eval/publish back-to-back each cycle and
      * cycles are separated by a single in-dispatch SpinBarrier — one
-     * barrier per cycle instead of four arrival+release pairs, and
-     * one pool epoch per *batch* instead of four per cycle. In phased
-     * mode — or with a single effective worker, where fusion has no
-     * barriers to remove and the in-place phased cycle is cheaper
-     * than publishing — this is just n calls to stepCycle.
-     * Bit-identical to the phased path at any worker count and batch
-     * size.
+     * barrier per cycle and one pool epoch per batch. Otherwise this
+     * is n calls to stepCycle, where fusion has no barriers to remove
+     * and the in-place cycle is cheaper than publishing. Bit-identical
+     * either way, at any worker count and batch size.
      */
     void stepCycles(util::BspPool *pool, uint64_t n);
-
-    /** Select fused (single-barrier, default) vs phased execution for
-     *  stepCycles. */
-    void setFused(bool on);
-    bool fused() const { return fused_; }
 
     /**
      * Enable activity-guarded evaluation on every shard state: eval
@@ -178,23 +165,23 @@ class ShardSet
      * (received register values are compared before being copied) and
      * commit broadcasts. Returns false — and leaves the always-eval
      * path in place — if any shard program lacks an activity plan.
-     * Bit-identical to always-eval in both phased and fused modes.
+     * Bit-identical to always-eval on both step paths.
      */
     bool setActivity(bool on);
     bool activityEnabled() const { return activity_; }
 
     /** Evaluate every shard's combinational logic (the eval phase
      *  alone; engines call it once after building the shard set). */
-    void evalAll(util::BspPool *pool);
+    void evalAll();
 
     /** Restore initial images and re-evaluate all shards. */
-    void reset(util::BspPool *pool);
+    void reset();
 
     // -- Telemetry (obs) -------------------------------------------------
 
     /**
      * Attach (or detach, with nullptr) a superstep profiler. Every
-     * stepCycle() then counts into it and, on sampled cycles,
+     * stepped cycle then counts into it and, on sampled cycles,
      * timestamps the four supersteps per worker and the eval duration
      * per shard. The profiler must be sized for at least as many
      * workers as the pool passed to the step calls and for size()
@@ -279,9 +266,9 @@ class ShardSet
     void exchangeRange(size_t begin, size_t end);
     void evalRange(size_t begin, size_t end);
     void evalRangeImpl(size_t begin, size_t end, bool sampled);
-    /** Dispatch one superstep over the pool (or sequentially),
-     *  timestamping per worker when the profiler samples this cycle. */
-    void runPhase(util::BspPool *pool, obs::Phase phase,
+    /** Run one phase over every shard on the calling thread,
+     *  timestamped when the profiler samples this cycle. */
+    void runPhase(obs::Phase phase,
                   void (ShardSet::*body)(size_t, size_t));
 
     // Fused-path bodies. @p parity selects the read buffer; the
@@ -296,16 +283,12 @@ class ShardSet
                          uint32_t parity);
     /** (Re)publish every shard's state into the buffer the next fused
      *  cycle reads — the out-of-band path after construction, poke,
-     *  reset, restore, or any phased stepping. */
+     *  reset, restore, or any in-place stepping. */
     void publishAll();
     /** Open/close one profiled cycle (stepCycle and the fused batch
      *  loop bracket every cycle with these). */
     void profileCycleBegin();
     void profileCycleEnd();
-    /** The phases stepCycle sequences (evalAll is public). */
-    void commitBroadcasts(util::BspPool *pool);
-    void latchRegisters(util::BspPool *pool);
-    void exchangeRegisters(util::BspPool *pool);
 
     obs::SuperstepProfiler *prof_ = nullptr;
     obs::Counter *ctrInstrs_ = nullptr;
@@ -337,7 +320,6 @@ class ShardSet
     std::vector<uint64_t> pub_[2];
     uint32_t pubRead_ = 0;
     bool pubValid_ = false;
-    bool fused_ = true;
     /// in-dispatch barrier for batched fused cycles (sized lazily to
     /// the pool's worker count)
     std::unique_ptr<util::SpinBarrier> inner_;

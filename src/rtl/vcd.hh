@@ -63,9 +63,8 @@ class VcdWriter
 /**
  * Convenience tracer around any SimEngine: traces all registers and
  * output ports each cycle. Works identically for the reference
- * interpreter, the event-driven interpreter, the IPU machine, and the
- * parallel host interpreter (they are bit-identical, so so are their
- * waveforms).
+ * interpreter, the cgen engine, the IPU machine, and the parallel host
+ * interpreter (they are bit-identical, so so are their waveforms).
  */
 class EngineTracer
 {

@@ -60,8 +60,8 @@ SessionManager::createSession(const std::string &designSpec,
     if (!core::tryParseEngineKind(sopt.engine, kind)) {
         if (err)
             *err = strprintf(
-                "unknown engine '%s' (expected interp|event|ipu|par|"
-                "cgen)", sopt.engine.c_str());
+                "unknown engine '%s' (expected interp|ipu|par|cgen)",
+                sopt.engine.c_str());
         return 0;
     }
 
@@ -101,7 +101,7 @@ SessionManager::createSession(const std::string &designSpec,
     auto session = std::make_shared<Session>();
     session->handle = std::make_unique<core::SessionHandle>(
         std::move(engine), designSpec);
-    // Ask the engine, not the request: event/ipu force replicas to 1,
+    // Ask the engine, not the request: ipu forces replicas to 1,
     // and lane-cycle accounting must bill what actually runs.
     session->replicas = session->handle->engine().replicas();
 

@@ -151,7 +151,7 @@ class SessionManager
          *  so clients never read the engine while it may be mid-step. */
         uint64_t cyclesSnapshot = 0;
         /** Replica lanes the engine actually runs (the engine may have
-         *  forced 1, e.g. for event/ipu) — the lane-cycle multiplier. */
+         *  forced 1, e.g. for ipu) — the lane-cycle multiplier. */
         uint32_t replicas = 1;
         bool busy = false;      ///< scheduler or a control op owns it
         bool dead = false;      ///< destroyed; waiters must bail out

@@ -10,15 +10,12 @@
  *                       file: pico, rocket, bitcoin, mc, vta, srN,
  *                       lrN, prngN
  *     --cycles N        simulate N cycles (default 1000)
- *     --engine E        interp | event | ipu | par | cgen (default ipu)
+ *     --engine E        interp | ipu | par | cgen (default ipu)
  *     --threads N       host worker threads for ipu/par engines
  *     --cgen            JIT-compile shard programs to native kernels
  *                       (par engine; cgen engine implies it)
- *     --fused 0|1       fused single-barrier supersteps for the
- *                       par/ipu host paths (default 1; 0 = the
- *                       4-barrier phased A/B path)
- *     --batch N         fused path: cycles per pool dispatch
- *                       (default 0 = one batch per step call)
+ *     --batch N         multi-worker par/ipu: cycles per pool
+ *                       dispatch (default 0 = one batch per step call)
  *     --replicas N      gang simulation: step N independent replicas
  *                       of the design in lock-step (SoA lanes; interp,
  *                       cgen and par engines). Scalar pokes drive all
@@ -34,12 +31,6 @@
  *                       costs) and emitted after it (the run's
  *                       per-shard eval ticks attributed back to
  *                       fibers). Implies --profile.
- *     --rebalance R     telemetry-directed repartitioning (par
- *                       engine, with --batch): when the measured
- *                       per-shard eval skew max/mean exceeds R
- *                       between batches, re-place fibers on measured
- *                       costs and migrate state. Implies --profile.
- *                       0 = off.
  *     --tiles N         tiles per chip (default 1472, ipu engine)
  *     --chips N         IPU chips, 1-4 (default 1, ipu engine)
  *     --strategy B|H    single-chip partitioning (default B)
@@ -159,12 +150,10 @@ struct Args
     bool checksum = false;
     bool reportOnly = false;
     bool cgen = false;
-    bool fused = true;
     uint64_t batch = 0;
     uint32_t replicas = 1;
     bool activity = true;
     std::string costProfile;
-    double rebalance = 0.0;
     bool profile = false;
     uint64_t profileEvery = 16;
     std::string profileTrace;
@@ -180,16 +169,16 @@ usage()
 {
     std::fprintf(stderr,
                  "usage: parendi [--cycles N] "
-                 "[--engine interp|event|ipu|par|cgen] [--threads N]\n"
+                 "[--engine interp|ipu|par|cgen] [--threads N]\n"
                  "               [--cgen] [--tiles N] [--chips N] "
                  "[--strategy B|H]\n"
                  "               [--multi pre|post|none] [--no-opt] "
                  "[--no-diff]\n"
                  "               [--vcd FILE] [--wave FILE] [--report] "
                  "[--peek NAME]...\n"
-                 "               [--fused 0|1] [--batch N] "
-                 "[--replicas N] [--activity 0|1]\n"
-                 "               [--cost-profile FILE] [--rebalance R]\n"
+                 "               [--batch N] [--replicas N] "
+                 "[--activity 0|1]\n"
+                 "               [--cost-profile FILE]\n"
                  "               [--save FILE] [--save-every N] "
                  "[--restore FILE] [--restore-at K]\n"
                  "               [--journal FILE] [--replay FILE] "
@@ -254,8 +243,6 @@ parseArgs(int argc, char **argv)
             a.reportOnly = true;
         else if (arg == "--cgen")
             a.cgen = true;
-        else if (arg == "--fused")
-            a.fused = std::stoul(value()) != 0;
         else if (arg == "--batch")
             a.batch = std::stoull(value());
         else if (arg == "--replicas")
@@ -267,9 +254,6 @@ parseArgs(int argc, char **argv)
         else if (arg == "--cost-profile") {
             a.costProfile = value();
             a.profile = true;   // emitting needs measured eval ticks
-        } else if (arg == "--rebalance") {
-            a.rebalance = std::stod(value());
-            a.profile = true;   // the skew check reads the profiler
         } else if (arg == "--profile")
             a.profile = true;
         else if (arg == "--profile-every") {
@@ -453,7 +437,6 @@ main(int argc, char **argv)
             opt.optimize = args.optimize;
             opt.machine.differentialExchange = args.diffExchange;
             opt.machine.hostThreads = args.threads;
-            opt.machine.fused = args.fused;
             opt.machine.batch = args.batch;
             if (args.hyper)
                 opt.single = partition::SingleChipStrategy::Hypergraph;
@@ -499,13 +482,11 @@ main(int argc, char **argv)
             eopt.kind = kind;
             eopt.threads = args.threads;
             eopt.cgen = args.cgen;
-            eopt.fused = args.fused;
             eopt.batch = args.batch;
             eopt.replicas = args.replicas;
             eopt.profile = args.profile;
             eopt.profileOpt.sampleEvery = args.profileEvery;
             eopt.activity = args.activity;
-            eopt.rebalance = args.rebalance;
             // --cost-profile is consumed when the file already exists
             // (a previous run wrote it) and emitted after this run
             // either way — the two runs close the telemetry loop.
@@ -691,7 +672,7 @@ main(int argc, char **argv)
                             obs::formatModeledVsMeasured(
                                 core::modeledSplit(*sim), rep)
                                 .c_str());
-            } else if (kind != core::EngineKind::Event) {
+            } else {
                 fiber::FiberSet fs(engine->netlist());
                 x86::DesignProfile dp = x86::profileDesign(fs);
                 x86::X86Arch arch = x86::X86Arch::ix3();

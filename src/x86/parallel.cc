@@ -7,6 +7,7 @@
 
 #include "fiber/fiber.hh"
 #include "obs/costprofile.hh"
+#include "partition/hypergraph.hh"
 #include "partition/strategy.hh"
 #include "util/bitset.hh"
 #include "util/logging.hh"
@@ -36,11 +37,12 @@ fiberCostKey(const Netlist &nl, const fiber::Fiber &f)
     return "?";
 }
 
-} // namespace
-
+/** Place the fibers of @p graph onto @p nshards shards
+ *  (partition::placeFibers) with @p weights, in any unit, as the fiber
+ *  node weights. */
 std::vector<std::vector<uint32_t>>
-ParallelInterpreter::place(const std::vector<double> &weights,
-                           size_t nshards)
+placeWeighted(partition::Hypergraph &graph,
+              const std::vector<double> &weights, size_t nshards)
 {
     // Node weights are integers: rescale so they sum to 2^32, which
     // keeps the ratios of costs given in any unit.
@@ -49,52 +51,18 @@ ParallelInterpreter::place(const std::vector<double> &weights,
         sum += w;
     const double scale = sum > 0 ? 4294967296.0 / sum : 1.0;
     for (size_t fi = 0; fi < weights.size(); ++fi)
-        placeGraph_.nodeWeight[fi] = static_cast<uint64_t>(
+        graph.nodeWeight[fi] = static_cast<uint64_t>(
             std::llround(std::max(0.0, weights[fi]) * scale));
-    return partition::placeFibers(placeGraph_,
-                                  static_cast<uint32_t>(nshards));
+    return partition::placeFibers(graph, static_cast<uint32_t>(nshards));
 }
 
-void
-ParallelInterpreter::buildShards(
-    const std::vector<std::vector<uint32_t>> &assign, uint32_t lanes)
-{
-    // Each shard's node set is the ascending union of its fibers'
-    // cones: mark the cones in a bitset, then collect the set bits.
-    const size_t n = nl_.numNodes();
-    DenseBitset all(n);
-    std::vector<std::vector<NodeId>> nodeSets(assign.size());
-    placement_ = Placement{};
-    for (size_t s = 0; s < assign.size(); ++s) {
-        DenseBitset mark(n);
-        for (uint32_t fi : assign[s])
-            for (NodeId id : fibers_[fi].cone)
-                mark.set(id);
-        nodeSets[s].reserve(mark.count());
-        mark.forEach([&](size_t id) {
-            nodeSets[s].push_back(static_cast<NodeId>(id));
-        });
-        placement_.shardNodes += nodeSets[s].size();
-        all |= mark;
-    }
-    placement_.unionNodes = all.count();
-
-    shards_ = ShardSet(nl_, nodeSets, lower_, lanes);
-    shards_.setFused(fusedWanted_);
-    assignment_ = assign;
-    placement_.shards = shards_.size();
-    for (size_t s = 0; s < shards_.size(); ++s)
-        placement_.shardInstrs += shards_.program(s).instrs.size();
-    for (const ShardSet::RegMessage &m : shards_.regMessages())
-        placement_.exchangeWords += m.words;
-}
+} // namespace
 
 ParallelInterpreter::ParallelInterpreter(Netlist netlist,
                                          uint32_t threads,
                                          const LowerOptions &lower,
                                          const ParConfig &cfg)
-    : nl_(std::move(netlist)), batch_(cfg.batch), lower_(lower),
-      rebalance_(cfg.rebalance), fusedWanted_(cfg.fused)
+    : nl_(std::move(netlist)), batch_(cfg.batch)
 {
     fiber::FiberSet fs(nl_);
     // The shard count adapts to the host's real parallelism (unless
@@ -114,18 +82,17 @@ ParallelInterpreter::ParallelInterpreter(Netlist netlist,
         1, std::min<size_t>(std::min<uint32_t>(threads, maxw),
                             fs.size()));
 
-    // Keep each fiber's cone, static cost and stable name, and the
-    // placement hypergraph: repartitioning re-weights its nodes and
-    // re-partitions without re-running fiber extraction.
+    // Keep each fiber's static cost and stable name for cost-profile
+    // export; the placement itself runs on the fiber hypergraph.
     fibers_.resize(fs.size());
     std::vector<uint64_t> staticW(fs.size());
     for (size_t fi = 0; fi < fs.size(); ++fi) {
-        fibers_[fi].cone = fs[fi].cone;
         fibers_[fi].staticCost = static_cast<double>(fs[fi].totalX86);
         fibers_[fi].key = fiberCostKey(nl_, fs[fi]);
         staticW[fi] = fs[fi].totalX86;
     }
-    placeGraph_ = partition::fiberHypergraph(fs, staticW, fs.sharedX86());
+    partition::Hypergraph graph =
+        partition::fiberHypergraph(fs, staticW, fs.sharedX86());
 
     // Placement weights: the static x86 cost, or — when a measured
     // profile is supplied — each fiber's recorded cost, with unseen
@@ -153,11 +120,37 @@ ParallelInterpreter::ParallelInterpreter(Netlist netlist,
         }
     }
 
-    std::vector<std::vector<uint32_t>> assign = place(weights, nshards);
+    assignment_ = placeWeighted(graph, weights, nshards);
     // A design without sinks still runs on one (empty) shard.
-    if (assign.empty())
-        assign.resize(1);
-    buildShards(assign, cfg.replicas);
+    if (assignment_.empty())
+        assignment_.resize(1);
+
+    // Each shard's node set is the ascending union of its fibers'
+    // cones: mark the cones in a bitset, then collect the set bits.
+    const size_t n = nl_.numNodes();
+    DenseBitset all(n);
+    std::vector<std::vector<NodeId>> nodeSets(assignment_.size());
+    for (size_t s = 0; s < assignment_.size(); ++s) {
+        DenseBitset mark(n);
+        for (uint32_t fi : assignment_[s])
+            for (NodeId id : fs[fi].cone)
+                mark.set(id);
+        nodeSets[s].reserve(mark.count());
+        mark.forEach([&](size_t id) {
+            nodeSets[s].push_back(static_cast<NodeId>(id));
+        });
+        placement_.shardNodes += nodeSets[s].size();
+        all |= mark;
+    }
+    placement_.unionNodes = all.count();
+
+    shards_ = ShardSet(nl_, nodeSets, lower, cfg.replicas);
+    placement_.shards = shards_.size();
+    for (size_t s = 0; s < shards_.size(); ++s)
+        placement_.shardInstrs += shards_.program(s).instrs.size();
+    for (const ShardSet::RegMessage &m : shards_.regMessages())
+        placement_.exchangeWords += m.words;
+
     if (cfg.pool) {
         pool_ = cfg.pool;
         poolShared_ = true;
@@ -168,9 +161,8 @@ ParallelInterpreter::ParallelInterpreter(Netlist netlist,
             pool_ = std::make_unique<util::BspPool>(workers);
     }
     // Evaluate combinational logic once so outputs are observable
-    // before the first clock edge. (Sequentially under a shared pool
-    // — a sibling engine may be mid-step on it.)
-    shards_.evalAll(controlPool());
+    // before the first clock edge.
+    shards_.evalAll();
 }
 
 void
@@ -180,21 +172,16 @@ ParallelInterpreter::step(size_t n)
     while (done < n) {
         const size_t k =
             batch_ ? std::min(batch_, n - done) : n - done;
-        shards_.stepCycles(stepPool(), k);
+        shards_.stepCycles(pool_.get(), k);
         done += k;
         cycleCount_ += k;
-        // Telemetry-directed repartitioning fires between batches
-        // (never inside one), so a migration lands on a cycle
-        // boundary and the continuation stays bit-identical.
-        if (rebalance_ > 0 && batch_)
-            maybeRebalance();
     }
 }
 
 void
 ParallelInterpreter::reset()
 {
-    shards_.reset(controlPool());
+    shards_.reset();
     cycleCount_ = 0;
 }
 
@@ -302,64 +289,7 @@ ParallelInterpreter::enableNativeKernels(const CgenOptions &opt)
 {
     size_t attached = cgenAttachShards(shards_, opt);
     native_ = attached == shards_.size() && attached > 0;
-    // Remember the request so a repartition re-attaches kernels to
-    // the rebuilt shard programs (usually a compile-cache hit).
-    wantNative_ = true;
-    cgenOpt_ = opt;
     return attached;
-}
-
-bool
-ParallelInterpreter::setActivity(bool on)
-{
-    if (!shards_.setActivity(on))
-        return false;
-    activityWanted_ = on;
-    return true;
-}
-
-bool
-ParallelInterpreter::ticksSinceBase(std::vector<uint64_t> &delta) const
-{
-    if (!profiler_)
-        return false;
-    const std::vector<obs::ShardEvalStat> &stats = profiler_->shardEval();
-    delta.assign(stats.size(), 0);
-    uint64_t sum = 0;
-    for (size_t s = 0; s < stats.size(); ++s) {
-        uint64_t base = s < ticksBase_.size() ? ticksBase_[s] : 0;
-        delta[s] = stats[s].ticks > base ? stats[s].ticks - base : 0;
-        sum += delta[s];
-    }
-    return sum > 0;
-}
-
-std::vector<double>
-ParallelInterpreter::fiberWeightsFrom(
-    const std::vector<uint64_t> &shardTicks) const
-{
-    // Each shard's measured eval ticks are attributed to its fibers
-    // proportional to their static cost — the finest attribution the
-    // per-shard straggler stat supports. Shards the profiler never
-    // sampled keep their static weights (placement rescales weights to
-    // a common total, so only their ratios matter).
-    std::vector<double> w(fibers_.size(), 1.0);
-    for (size_t s = 0; s < assignment_.size(); ++s) {
-        double staticSum = 0;
-        for (uint32_t fi : assignment_[s])
-            staticSum += fibers_[fi].staticCost;
-        const uint64_t ticks =
-            s < shardTicks.size() ? shardTicks[s] : 0;
-        for (uint32_t fi : assignment_[s]) {
-            double share = staticSum > 0
-                ? fibers_[fi].staticCost / staticSum
-                : 1.0 / static_cast<double>(assignment_[s].size());
-            w[fi] = ticks > 0
-                ? std::max(1.0, static_cast<double>(ticks) * share)
-                : std::max(1.0, fibers_[fi].staticCost);
-        }
-    }
-    return w;
 }
 
 bool
@@ -368,83 +298,33 @@ ParallelInterpreter::collectCostProfile(obs::CostProfile &out) const
     if (!profiler_)
         return false;
     const std::vector<obs::ShardEvalStat> &stats = profiler_->shardEval();
-    std::vector<uint64_t> ticks(stats.size(), 0);
     uint64_t sum = 0;
-    for (size_t s = 0; s < stats.size(); ++s) {
-        ticks[s] = stats[s].ticks;
-        sum += ticks[s];
-    }
+    for (const obs::ShardEvalStat &st : stats)
+        sum += st.ticks;
     if (sum == 0)
         return false;
-    std::vector<double> w = fiberWeightsFrom(ticks);
-    for (size_t fi = 0; fi < fibers_.size(); ++fi)
-        out.set(fibers_[fi].key, w[fi]);
-    return true;
-}
-
-void
-ParallelInterpreter::rebuildShards(
-    const std::vector<std::vector<uint32_t>> &assign)
-{
-    core::ArchState st;
-    shards_.exportArch(st);
-
-    buildShards(assign, st.lanes);
-    if (wantNative_) {
-        size_t attached = cgenAttachShards(shards_, cgenOpt_);
-        native_ = attached == shards_.size() && attached > 0;
+    // Each shard's measured eval ticks are attributed to its fibers
+    // proportional to their static cost — the finest attribution the
+    // per-shard straggler stat supports. Shards the profiler never
+    // sampled keep their static weights (placement rescales weights to
+    // a common total, so only their ratios matter).
+    for (size_t s = 0; s < assignment_.size(); ++s) {
+        double staticSum = 0;
+        for (uint32_t fi : assignment_[s])
+            staticSum += fibers_[fi].staticCost;
+        const uint64_t ticks = s < stats.size() ? stats[s].ticks : 0;
+        for (uint32_t fi : assignment_[s]) {
+            double share = staticSum > 0
+                ? fibers_[fi].staticCost / staticSum
+                : 1.0 / static_cast<double>(assignment_[s].size());
+            out.set(fibers_[fi].key,
+                    ticks > 0
+                        ? std::max(1.0,
+                                   static_cast<double>(ticks) * share)
+                        : std::max(1.0, fibers_[fi].staticCost));
+        }
     }
-    if (profiler_)
-        shards_.setProfiler(profiler_.get());
-    if (activityWanted_)
-        shards_.setActivity(true);
-    // importArch re-runs exchange + eval sequentially, so the rebuilt
-    // set continues bit-identically (and, with activity on, marks
-    // everything dirty for the first guarded eval).
-    shards_.importArch(st);
-    ++rebalances_;
-}
-
-bool
-ParallelInterpreter::rebalanceNow()
-{
-    std::vector<uint64_t> delta;
-    if (shards_.size() < 2 || !ticksSinceBase(delta))
-        return false;
-    std::vector<std::vector<uint32_t>> assign =
-        place(fiberWeightsFrom(delta), assignment_.size());
-    // Reset the skew window at every decision, taken or not.
-    const std::vector<obs::ShardEvalStat> &stats = profiler_->shardEval();
-    ticksBase_.resize(stats.size());
-    for (size_t s = 0; s < stats.size(); ++s)
-        ticksBase_[s] = stats[s].ticks;
-    if (assign == assignment_)
-        return false;
-    rebuildShards(assign);
     return true;
-}
-
-void
-ParallelInterpreter::maybeRebalance()
-{
-    std::vector<uint64_t> delta;
-    if (shards_.size() < 2 || !ticksSinceBase(delta))
-        return;
-    uint64_t sum = 0, peak = 0;
-    for (uint64_t d : delta) {
-        sum += d;
-        peak = std::max(peak, d);
-    }
-    const double mean =
-        static_cast<double>(sum) / static_cast<double>(delta.size());
-    if (mean <= 0 ||
-        static_cast<double>(peak) <= rebalance_ * mean)
-        return;
-    if (rebalanceNow())
-        inform("par: rebalanced shards (straggler skew max/mean "
-               "%.2f > %.2f), repartition #%llu",
-               static_cast<double>(peak) / mean, rebalance_,
-               static_cast<unsigned long long>(rebalances_));
 }
 
 } // namespace parendi::rtl

@@ -24,7 +24,6 @@
 #include <string>
 
 #include "core/engine.hh"
-#include "partition/hypergraph.hh"
 #include "rtl/cgen.hh"
 #include "rtl/netlist.hh"
 #include "rtl/shard.hh"
@@ -35,13 +34,10 @@ namespace parendi::rtl {
 /** Execution knobs of the parallel host engine. */
 struct ParConfig
 {
-    /** Fused single-barrier supersteps (default) vs the 4-barrier
-     *  phased reference sequence. Bit-identical either way. */
-    bool fused = true;
-    /** Cycles per pool dispatch in fused mode: step(n) is split into
-     *  batches of this many cycles, each one pool epoch with the
-     *  in-dispatch barrier between cycles. 0 = the whole step(n) call
-     *  is one batch. */
+    /** Cycles per pool dispatch: step(n) is split into batches of
+     *  this many cycles, each one pool epoch with the in-dispatch
+     *  barrier between cycles. 0 = the whole step(n) call is one
+     *  batch. */
     size_t batch = 0;
     /**
      * Cap on shards and pool workers. 0 (default) caps at the host's
@@ -61,10 +57,10 @@ struct ParConfig
      * count adapts to the pool's width. Sharing contract: a BspPool
      * dispatch has exactly one caller, so hosts must serialize step()
      * calls across every engine on the pool (the scheduler thread);
-     * to keep the pool free for whichever engine is stepping, all
-     * *other* entry points of a shared-pool engine (construction,
-     * reset(), restore()) run their re-evaluations sequentially, and
-     * enableProfiling() does not install a pool wait observer.
+     * every other entry point (construction, reset(), restore())
+     * runs its re-evaluation on the calling thread, so the pool stays
+     * free for whichever engine is stepping, and enableProfiling()
+     * does not install a pool wait observer.
      */
     std::shared_ptr<util::BspPool> pool;
     /** Gang simulation: replica lanes per shard state, stepped in
@@ -78,15 +74,6 @@ struct ParConfig
      * empty = static costs. Only read during construction.
      */
     const obs::CostProfile *costIn = nullptr;
-    /**
-     * Telemetry-directed repartitioning threshold: after each stepped
-     * batch, when the profiled per-shard eval-tick skew (max/mean over
-     * the window since the last check) exceeds this ratio, re-place
-     * the fibers on the measured costs and migrate the architectural
-     * state onto the new placement. Needs an attached profiler and
-     * batched fused stepping to fire. 0 = off.
-     */
-    double rebalance = 0.0;
 };
 
 class ParallelInterpreter : public core::SimEngine
@@ -151,7 +138,7 @@ class ParallelInterpreter : public core::SimEngine
 
     /** Activity-guarded evaluation on every shard (see
      *  ShardSet::setActivity). */
-    bool setActivity(bool on) override;
+    bool setActivity(bool on) override { return shards_.setActivity(on); }
     bool
     activityEnabled() const override
     {
@@ -165,19 +152,6 @@ class ParallelInterpreter : public core::SimEngine
      * attached profiler that has sampled at least one cycle.
      */
     bool collectCostProfile(obs::CostProfile &out) const override;
-
-    /**
-     * Repartition now from the measured per-shard eval ticks
-     * accumulated since the last rebalance window: re-place the fibers
-     * on the measured costs, and if the placement changes, migrate the
-     * architectural state onto it (same shard count; native kernels,
-     * profiler and activity guards are re-attached). Returns true iff
-     * the placement changed. Needs profiled samples; false otherwise.
-     */
-    bool rebalanceNow();
-
-    /** Repartitions performed so far (rebalanceNow + automatic). */
-    uint64_t rebalances() const { return rebalances_; }
 
     /** Attach an obs::SuperstepProfiler sized for this engine's pool
      *  (one slot per shard worker, or one when sequential) and register
@@ -196,19 +170,17 @@ class ParallelInterpreter : public core::SimEngine
 
     /** Canonical architectural state (see SimEngine / src/ckpt).
      *  Import runs sequentially (shared-pool contract). */
-    bool
+    void
     exportArch(core::ArchState &out) const override
     {
         shards_.exportArch(out);
         out.cycles = cycleCount_;
-        return true;
     }
-    bool
+    void
     importArch(const core::ArchState &st) override
     {
         shards_.importArch(st);
         cycleCount_ = st.cycles;
-        return true;
     }
 
     /** Shards actually built (<= requested threads). */
@@ -221,8 +193,6 @@ class ParallelInterpreter : public core::SimEngine
     {
         return pool_ ? pool_->threads() : 1;
     }
-
-    bool fused() const { return shards_.fused(); }
 
     /** Quality of the current fiber placement. */
     struct Placement
@@ -250,69 +220,20 @@ class ParallelInterpreter : public core::SimEngine
     const ShardSet &shards() const { return shards_; }
 
   private:
-    /** One fiber's partitioning summary, kept after construction so
-     *  measured-cost repartitioning can re-place without re-running
-     *  fiber extraction. */
+    /** One fiber's cost-profile identity. */
     struct FiberCost
     {
-        std::vector<NodeId> cone;   ///< cone nodes, ascending
         double staticCost;          ///< x86 cost-model weight
         std::string key;            ///< stable CostProfile key
     };
-
-    /** Place the fibers onto @p nshards shards (partition::placeFibers)
-     *  with @p weights, in any unit, as the fiber node weights. */
-    std::vector<std::vector<uint32_t>>
-    place(const std::vector<double> &weights, size_t nshards);
-
-    /** Build the shard set for @p assign with @p lanes replica lanes
-     *  and record its placement quality. */
-    void buildShards(const std::vector<std::vector<uint32_t>> &assign,
-                     uint32_t lanes);
-
-    /** Tear down the shard set and rebuild it for @p assign (same
-     *  shard count), migrating the architectural state and
-     *  re-attaching native kernels, profiler and activity guards. */
-    void rebuildShards(const std::vector<std::vector<uint32_t>> &assign);
-
-    /** Per-fiber measured weights from per-shard eval-tick deltas. */
-    std::vector<double>
-    fiberWeightsFrom(const std::vector<uint64_t> &shardTicks) const;
-
-    /** Eval ticks per shard accumulated since the last rebalance
-     *  window reset; false when nothing was sampled. */
-    bool ticksSinceBase(std::vector<uint64_t> &delta) const;
-
-    /** The automatic between-batch check (ParConfig::rebalance). */
-    void maybeRebalance();
-
-    /** The pool step() dispatches on (null = sequential). */
-    util::BspPool *stepPool() const { return pool_.get(); }
-    /** The pool for non-step re-evaluations: null when the pool is
-     *  shared, so control ops never race a sibling engine's step. */
-    util::BspPool *
-    controlPool() const
-    {
-        return poolShared_ ? nullptr : pool_.get();
-    }
 
     Netlist nl_;
     ShardSet shards_;
     size_t batch_ = 0;
 
-    // Repartitioning state (see rebuildShards).
     std::vector<FiberCost> fibers_;
-    partition::Hypergraph placeGraph_;  ///< fiber hypergraph (placeFibers)
     std::vector<std::vector<uint32_t>> assignment_;  ///< fibers per shard
     Placement placement_;
-    LowerOptions lower_;
-    double rebalance_ = 0.0;
-    bool fusedWanted_ = true;
-    bool activityWanted_ = false;
-    bool wantNative_ = false;       ///< re-attach kernels on rebuild
-    CgenOptions cgenOpt_;
-    std::vector<uint64_t> ticksBase_;   ///< shard ticks at window start
-    uint64_t rebalances_ = 0;
 
     // Declared before pool_: the pool holds a raw observer pointer to
     // the profiler, so the pool (destroyed first, in reverse member

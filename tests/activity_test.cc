@@ -9,9 +9,9 @@
  * directed hazard tests aim straight at that: registers that return
  * to an earlier value (A->B->A, so only the memcmp in the latch can
  * tell the second edge happened) and inputs re-poked with both equal
- * and distinct values. The telemetry loop (CostProfile persistence,
- * measured-cost repartitioning, in-run rebalance) is covered at the
- * engine API level.
+ * and distinct values. The telemetry loop (CostProfile persistence
+ * and measured-cost repartitioning) is covered at the engine API
+ * level.
  */
 
 #include <gtest/gtest.h>
@@ -393,35 +393,4 @@ TEST(Repartition, MeasuredCostsCloseTheLoop)
     ParallelInterpreter repart(nl, 4, rtl::LowerOptions{}, mcfg);
     repart.step(200);
     compareAllState(repart, ref, nl, "repartitioned");
-}
-
-TEST(Repartition, InRunRebalancePreservesState)
-{
-    // rebalanceNow() tears the shard set down mid-run and rebuilds it
-    // on measured weights; architectural state, activity guards and
-    // subsequent stepping must be unaffected.
-    Netlist nl = randomNetlist(13, fuzzConfig());
-    Interpreter ref(nl);
-
-    rtl::ParConfig pcfg;
-    pcfg.maxWorkers = 4;
-    ParallelInterpreter par(nl, 4, rtl::LowerOptions{}, pcfg);
-    ASSERT_TRUE(par.setActivity(true));
-    obs::ProfileOptions popt;
-    popt.sampleEvery = 1;
-    ASSERT_TRUE(par.enableProfiling(popt));
-
-    par.step(120);
-    ref.step(120);
-    compareAllState(par, ref, nl, "before rebalance");
-
-    EXPECT_EQ(par.rebalances(), 0u);
-    ASSERT_TRUE(par.rebalanceNow());
-    EXPECT_EQ(par.rebalances(), 1u);
-    EXPECT_TRUE(par.activityEnabled());
-    compareAllState(par, ref, nl, "after rebalance");
-
-    par.step(120);
-    ref.step(120);
-    compareAllState(par, ref, nl, "stepping after rebalance");
 }

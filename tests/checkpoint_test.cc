@@ -236,25 +236,6 @@ TEST(CheckpointEnvelope, RejectsUnknownVersion)
     }
 }
 
-TEST(CheckpointEnvelope, EventEngineSaveNamesTheEngine)
-{
-    // The event engine exports no architectural state, so it cannot
-    // be checkpointed; the error names it and nothing is written.
-    core::EngineOptions eopt;
-    eopt.kind = core::EngineKind::Event;
-    auto ev = core::makeEngine(designs::makeSr(2), eopt);
-    std::stringstream out;
-    try {
-        core::saveCheckpoint(*ev, out);
-        FAIL() << "event engine checkpoint must be rejected";
-    } catch (const FatalError &e) {
-        EXPECT_NE(std::string(e.what()).find(ev->engineName()),
-                  std::string::npos)
-            << e.what();
-    }
-    EXPECT_TRUE(out.str().empty());
-}
-
 TEST(CheckpointEnvelope, SessionHandleFacade)
 {
     core::SessionHandle session(

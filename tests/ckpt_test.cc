@@ -132,7 +132,7 @@ TEST(Snapshot, PackUnpackRoundTrip)
     Interpreter sim(designs::makeSr(2));
     sim.step(64);
     core::ArchState st;
-    ASSERT_TRUE(sim.exportArch(st));
+    sim.exportArch(st);
 
     ckpt::PackedImage img = ckpt::packArchState(st);
     core::ArchState back;

@@ -12,6 +12,7 @@
 #include "designs/cores.hh"
 #include "designs/isa.hh"
 #include "rtl/interp.hh"
+#include "util/strcat.hh"
 
 using namespace parendi;
 using namespace parendi::designs;
@@ -122,7 +123,7 @@ runBoth(const Program &p)
         ASSERT_LT(guard, 100000u) << p.name;
         sim.step(8); // drain
         for (unsigned i = 0; i < 16; ++i)
-            EXPECT_EQ(sim.peekRegister("x" + std::to_string(i))
+            EXPECT_EQ(sim.peekRegister(strCat("x", i))
                           .toUint64(),
                       gold.reg(i))
                 << p.name << (core ? " rocket" : " pico") << " x" << i;

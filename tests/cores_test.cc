@@ -12,6 +12,7 @@
 #include "designs/cores.hh"
 #include "designs/isa.hh"
 #include "rtl/interp.hh"
+#include "util/strcat.hh"
 
 using namespace parendi;
 using namespace parendi::designs;
@@ -66,7 +67,7 @@ compareWithGolden(const Netlist &nl, const std::vector<uint32_t> &prog,
 
     EXPECT_EQ(rtl_sim.peek("pc").toUint64(), gold.pc());
     for (unsigned i = 0; i < 16; ++i)
-        EXPECT_EQ(rtl_sim.peekRegister("x" + std::to_string(i))
+        EXPECT_EQ(rtl_sim.peekRegister(strCat("x", i))
                       .toUint64(),
                   gold.reg(i))
             << "x" << i;

@@ -18,6 +18,7 @@
 #include "rtl/interp.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
+#include "util/strcat.hh"
 
 using namespace parendi;
 using namespace parendi::designs;
@@ -182,7 +183,7 @@ TEST(Mc, CountsPathsAndAccumulates)
     // The payoff sum must equal the sum of lane accumulators.
     uint64_t sum = 0;
     for (uint32_t lane = 0; lane < cfg.lanes; ++lane)
-        sum += sim.peekRegister("l" + std::to_string(lane) + "_acc")
+        sum += sim.peekRegister(strCat("l", lane, "_acc"))
                    .toUint64();
     EXPECT_EQ(sim.peek("payoff_sum").toUint64(), sum & 0xffffffffu);
 }
@@ -242,8 +243,7 @@ TEST(Vta, MacGridMatchesSoftware)
     sim.step(n_cyc);
     for (uint32_t r = 0; r < cfg.rows; ++r)
         for (uint32_t c = 0; c < cfg.cols; ++c) {
-            std::string name = "pe" + std::to_string(r) + "_" +
-                std::to_string(c) + "_acc";
+            std::string name = strCat("pe", r, "_", c, "_acc");
             EXPECT_EQ(sim.peekRegister(name).toUint64(), acc[r][c])
                 << name;
         }
@@ -289,8 +289,8 @@ TEST_P(MeshParam, FlitConservation)
             for (uint32_t x = 0; x < n; ++x)
                 for (const char *p : ports)
                     for (const char *e : {"0", "1"}) {
-                        std::string name = "n" + std::to_string(x) +
-                            "_" + std::to_string(y) + "_" + p + e;
+                        std::string name =
+                            strCat("n", x, "_", y, "_", p, e);
                         inflight +=
                             sim.peekRegister(name).bit(0) ? 1 : 0;
                     }
@@ -318,8 +318,7 @@ TEST(Mesh, DeliversToAllNodes)
     // Round-robin destinations: every node must have received flits.
     for (uint32_t y = 0; y < 3; ++y)
         for (uint32_t x = 0; x < 3; ++x) {
-            std::string name = "n" + std::to_string(x) + "_" +
-                std::to_string(y) + "_rx";
+            std::string name = strCat("n", x, "_", y, "_rx");
             EXPECT_GT(sim.peekRegister(name).toUint64(), 0u) << name;
         }
 }
@@ -333,8 +332,7 @@ TEST(Mesh, UncoreNodesBounceReplies)
     sim.step(400);
     // The responders must have injected replies.
     for (auto [x, y] : {std::pair{0u, 0u}, {1u, 0u}, {0u, 1u}}) {
-        std::string name = "n" + std::to_string(x) + "_" +
-            std::to_string(y) + "_tx";
+        std::string name = strCat("n", x, "_", y, "_tx");
         EXPECT_GT(sim.peekRegister(name).toUint64(), 0u) << name;
     }
 }

@@ -17,6 +17,7 @@
 #include "designs/designs.hh"
 #include "rtl/interp.hh"
 #include "util/logging.hh"
+#include "util/strcat.hh"
 
 using namespace parendi;
 using namespace parendi::core;
@@ -170,7 +171,7 @@ sharedArrayDesign()
     d.memWrite(m, d.read(wptr), d.read(wptr).zext(32) * d.lit(32, 3),
                d.lit(1, 1));
     for (int i = 0; i < 24; ++i) {
-        auto r = d.reg("r" + std::to_string(i), 32, i);
+        auto r = d.reg(strCat("r", i), 32, i);
         // Each fiber reads its own slot and churns locally.
         rtl::Wire v = d.memRead(m, d.lit(6, i));
         rtl::Wire x = d.read(r);

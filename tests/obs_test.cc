@@ -22,6 +22,7 @@
 #include "obs/profiler.hh"
 #include "obs/report.hh"
 #include "obs/trace.hh"
+#include "util/strcat.hh"
 #include "x86/parallel.hh"
 
 using namespace parendi;
@@ -40,7 +41,7 @@ TEST(Counters, ConcurrentAddsAreExact)
             // registers/bumps its own — registration under contention
             // must hand out stable addresses.
             obs::Counter &mine =
-                regs.get("thread_" + std::to_string(t));
+                regs.get(strCat("thread_", t));
             for (uint64_t i = 0; i < kAdds; ++i) {
                 shared.add(1);
                 mine.add(2);
@@ -51,7 +52,7 @@ TEST(Counters, ConcurrentAddsAreExact)
         t.join();
     EXPECT_EQ(shared.value(), kThreads * kAdds);
     for (int t = 0; t < kThreads; ++t)
-        EXPECT_EQ(regs.get("thread_" + std::to_string(t)).value(),
+        EXPECT_EQ(regs.get(strCat("thread_", t)).value(),
                   2 * kAdds);
     EXPECT_EQ(regs.size(), size_t{kThreads} + 1);
 }
@@ -64,7 +65,7 @@ TEST(Counters, ReferencesStayValidAcrossGrowth)
     // Force many registrations; the deque-backed registry must not
     // move existing counters.
     for (int i = 0; i < 1000; ++i)
-        regs.get("c" + std::to_string(i)).add(1);
+        regs.get(strCat("c", i)).add(1);
     EXPECT_EQ(first.value(), 7u);
     EXPECT_EQ(&first, &regs.get("first"));
 }

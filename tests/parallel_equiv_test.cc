@@ -73,6 +73,62 @@ compareAllState(core::SimEngine &sim, Interpreter &ref,
     }
 }
 
+/**
+ * Batch-shape differential against the reference interpreter, at par@1
+ * (the in-place cycle) and par@{2,4} (the fused superstep): odd and
+ * even batch lengths (the publish-buffer parity flips), pokes between
+ * batches, and mid-run checkpoint and reset intrusions (which
+ * invalidate the publish buffers).
+ */
+void
+checkBatchShapes(const Netlist &nl, uint64_t seed)
+{
+    Rng rng(seed ^ 0xba7c);
+    auto pokeAll = [&](core::SimEngine &a, core::SimEngine &b) {
+        for (rtl::PortId p = 0; p < nl.numInputs(); ++p) {
+            const auto &in = nl.input(p);
+            rtl::BitVec v(in.width, rng.next());
+            a.poke(in.name, v);
+            b.poke(in.name, v);
+        }
+    };
+    for (uint32_t threads : {1u, 2u, 4u}) {
+        Interpreter ref(nl);
+        rtl::ParConfig pcfg;
+        pcfg.maxWorkers = threads;
+        pcfg.batch = 3; // step(n) splits into odd-length batches
+        ParallelInterpreter par(nl, threads, rtl::LowerOptions{}, pcfg);
+
+        for (size_t batch : {size_t{1}, size_t{3}, size_t{16}}) {
+            pokeAll(ref, par);
+            ref.step(batch);
+            par.step(batch);
+            compareAllState(par, ref, "batch");
+        }
+
+        // Checkpoint round-trip mid-run: restore must re-publish
+        // before the next fused batch.
+        std::stringstream snap;
+        core::saveCheckpoint(par, snap);
+        par.step(5);
+        core::restoreCheckpoint(par, snap);
+        pokeAll(ref, par);
+        ref.step(5);
+        par.step(5);
+        compareAllState(par, ref, "after restore");
+
+        // Reset mid-run, then another odd/even batch mix.
+        ref.reset();
+        par.reset();
+        ref.step(7);
+        par.step(7);
+        pokeAll(ref, par);
+        ref.step(4);
+        par.step(4);
+        compareAllState(par, ref, "after reset");
+    }
+}
+
 } // namespace
 
 class ParallelEquiv : public ::testing::TestWithParam<uint64_t>
@@ -116,59 +172,12 @@ TEST_P(ParallelEquiv, PooledMachineMatchesReference)
     }
 }
 
-TEST_P(ParallelEquiv, FusedMatchesPhasedAcrossBatchShapes)
+TEST_P(ParallelEquiv, BatchShapesMatchReference)
 {
-    // The fused single-barrier superstep must stay bit-identical to
-    // the 4-barrier phased sequence over colliding write ports, odd
-    // and even batch lengths (the publish-buffer parity flips), and
-    // mid-run reset and checkpoint intrusions (which invalidate the
-    // publish buffers).
     uint64_t seed = GetParam();
-    Netlist nl = randomNetlist(seed, collidingConfig());
-    for (uint32_t threads : {1u, 2u, 8u}) {
-        Interpreter ref(nl);
-        rtl::ParConfig fcfg;
-        fcfg.maxWorkers = threads;
-        fcfg.batch = 3; // step(n) splits into odd-length batches
-        rtl::ParConfig pcfg;
-        pcfg.fused = false;
-        pcfg.maxWorkers = threads;
-        ParallelInterpreter fused(nl, threads, rtl::LowerOptions{},
-                                  fcfg);
-        ParallelInterpreter phased(nl, threads, rtl::LowerOptions{},
-                                   pcfg);
-        ASSERT_TRUE(fused.fused());
-        ASSERT_FALSE(phased.fused());
-
-        for (size_t batch : {size_t{1}, size_t{3}, size_t{16}}) {
-            ref.step(batch);
-            fused.step(batch);
-            phased.step(batch);
-            compareAllState(fused, ref, "fused");
-            compareAllState(phased, ref, "phased");
-        }
-
-        // Checkpoint round-trip mid-run: restore must re-publish
-        // before the next fused batch.
-        std::stringstream snap;
-        core::saveCheckpoint(fused, snap);
-        fused.step(5);
-        core::restoreCheckpoint(fused, snap);
-        ref.step(5);
-        fused.step(5);
-        phased.step(5);
-        compareAllState(fused, ref, "fused after restore");
-
-        // Reset mid-run, then another odd/even batch mix.
-        ref.reset();
-        fused.reset();
-        phased.reset();
-        ref.step(7);
-        fused.step(7);
-        phased.step(7);
-        compareAllState(fused, ref, "fused after reset");
-        compareAllState(phased, ref, "phased after reset");
-    }
+    RandomNetlistConfig cfg = collidingConfig();
+    cfg.inputs = 2;
+    checkBatchShapes(randomNetlist(seed, cfg), seed);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ParallelEquiv,
@@ -247,6 +256,12 @@ TEST(ParallelEquiv, BuiltinDesignsMatchReference)
     }
 }
 
+TEST(ParallelEquiv, BuiltinBatchShapesMatchReference)
+{
+    checkBatchShapes(designs::makeSr(4), 4);
+    checkBatchShapes(designs::makeLr(2), 2);
+}
+
 TEST(ParallelInterpreter, PlacementAvoidsDuplicationAndCutsFewRegisters)
 {
     // sr4 on 4 shards: the replication-aware placement computes little
@@ -284,7 +299,7 @@ TEST(ParallelEquiv, EngineFactoryBuildsEveryKind)
     Netlist nl = randomNetlist(7);
     Interpreter ref(nl);
     ref.step(20);
-    for (const char *name : {"interp", "event", "ipu", "par"}) {
+    for (const char *name : {"interp", "ipu", "par"}) {
         core::EngineOptions opt;
         opt.kind = core::parseEngineKind(name);
         opt.threads = 2;
@@ -299,6 +314,7 @@ TEST(ParallelEquiv, EngineFactoryBuildsEveryKind)
         }
     }
     EXPECT_THROW(core::parseEngineKind("verilator"), FatalError);
+    EXPECT_THROW(core::parseEngineKind("event"), FatalError);
 }
 
 TEST(BspPool, ForEachCoversEveryIndexExactlyOnce)
@@ -458,4 +474,45 @@ TEST(BspPool, BatchDispatchCrossesInnerBarriersInOneEpoch)
     EXPECT_LE(obs.begins.load(), (kBatches + 1) * kWorkers);
     EXPECT_LT(obs.begins.load(), kBatches * kInner);
     pool.setWaitObserver(nullptr);
+}
+
+TEST(ParallelEquiv, BatchIsOnePoolEpoch)
+{
+    // A multi-worker step(n) is one pool dispatch per batch: every
+    // worker passes the pool's epoch machinery exactly once per batch,
+    // never once per cycle or per phase. Counted on a shared pool
+    // whose wait observer the test owns (a shared-pool engine never
+    // installs its own).
+    Netlist nl = randomNetlist(3, collidingConfig());
+    EpochCounter obs;
+    auto pool = std::make_shared<util::BspPool>(2);
+    pool->setWaitObserver(&obs);
+    rtl::ParConfig whole;
+    whole.pool = pool;
+    rtl::ParConfig split = whole;
+    split.batch = 3;
+    ParallelInterpreter par(nl, 2, rtl::LowerOptions{}, whole);
+    ParallelInterpreter batched(nl, 2, rtl::LowerOptions{}, split);
+    ASSERT_EQ(par.numShards(), 2u);
+    ASSERT_EQ(batched.numShards(), 2u);
+    Interpreter ref(nl);
+
+    // A worker that parked before the observer was installed reports
+    // its first release to nobody; one warm-up batch re-parks it.
+    par.step(1);
+    ref.step(1);
+    for (size_t n : {size_t{1}, size_t{7}, size_t{64}}) {
+        const uint32_t before = obs.ends.load();
+        par.step(n);
+        ref.step(n);
+        EXPECT_EQ(obs.ends.load() - before, pool->threads())
+            << "step(" << n << ")";
+    }
+    compareAllState(par, ref, "one epoch per batch");
+
+    // With --batch 3, step(7) is three batches: 3 + 3 + 1 cycles.
+    const uint32_t before = obs.ends.load();
+    batched.step(7);
+    EXPECT_EQ(obs.ends.load() - before, 3 * pool->threads());
+    pool->setWaitObserver(nullptr);
 }

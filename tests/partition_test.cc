@@ -19,6 +19,7 @@
 #include "partition/strategy.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
+#include "util/strcat.hh"
 
 using namespace parendi;
 using namespace parendi::partition;
@@ -219,7 +220,7 @@ TEST(Merge, Stage1MergesLargeArraySharers)
     auto idx = d.reg("idx", 12, 0);
     d.next(idx, d.read(idx) + d.lit(12, 1));
     for (int i = 0; i < 4; ++i) {
-        auto r = d.reg("r" + std::to_string(i), 64, 0);
+        auto r = d.reg(strCat("r", i), 64, 0);
         d.next(r, d.read(r) ^ d.memRead(big, d.read(idx)));
     }
     Decomposed dec(d.finish());

@@ -14,6 +14,7 @@
 
 #include "rtl/dsl.hh"
 #include "util/rng.hh"
+#include "util/strcat.hh"
 
 namespace parendi::testing {
 
@@ -36,7 +37,7 @@ randomNetlist(uint64_t seed, const RandomNetlistConfig &cfg =
 {
     using namespace rtl;
     Rng rng(seed * 0x9e3779b97f4a7c15ull + 12345);
-    Design d("fuzz" + std::to_string(seed));
+    Design d(strCat("fuzz", seed));
 
     auto rand_width = [&]() -> uint16_t {
         // Bias toward interesting widths: 1, word-boundary and odd.
@@ -54,7 +55,7 @@ randomNetlist(uint64_t seed, const RandomNetlistConfig &cfg =
     std::vector<Wire> pool; // every value created so far
     for (uint32_t i = 0; i < cfg.registers; ++i) {
         uint16_t w = rand_width();
-        RegId r = d.reg("r" + std::to_string(i), w, rng.next());
+        RegId r = d.reg(strCat("r", i), w, rng.next());
         regs.push_back(r);
         pool.push_back(d.read(r));
     }
@@ -63,12 +64,12 @@ randomNetlist(uint64_t seed, const RandomNetlistConfig &cfg =
         uint16_t w = rand_width();
         uint32_t depth = 4u << rng.below(4); // 4..32 entries
         mems.push_back(
-            d.memory("m" + std::to_string(i), w, depth));
+            d.memory(strCat("m", i), w, depth));
     }
     pool.push_back(d.lit(32, rng.next()));
     pool.push_back(d.lit(1, 1));
     for (uint32_t i = 0; i < cfg.inputs; ++i)
-        pool.push_back(d.input("in" + std::to_string(i), rand_width()));
+        pool.push_back(d.input(strCat("in", i), rand_width()));
 
     auto pick = [&]() { return pool[rng.below(pool.size())]; };
     auto pick_w = [&](uint16_t w) { return pick().resize(w); };
@@ -137,7 +138,7 @@ randomNetlist(uint64_t seed, const RandomNetlistConfig &cfg =
         }
     }
     for (uint32_t i = 0; i < cfg.outputs; ++i)
-        d.output("o" + std::to_string(i), pick());
+        d.output(strCat("o", i), pick());
     return d.finish();
 }
 

@@ -140,6 +140,29 @@ TEST(Serve, ErrorsAreReportedNotFatal)
     EXPECT_NE(fx.client.createSession("counter", "interp"), 0u);
 }
 
+TEST(Serve, UnknownEngineIsAnError)
+{
+    // "event" names no engine: the create fails with an error that
+    // names it and lists the real ones, and the connection still steps
+    // a session created afterwards.
+    ServeFixture fx;
+    EXPECT_EQ(fx.client.createSession("counter", "event"), 0u);
+    EXPECT_NE(fx.client.lastError().find("unknown engine 'event'"),
+              std::string::npos)
+        << fx.client.lastError();
+    EXPECT_NE(fx.client.lastError().find("interp|ipu|par|cgen"),
+              std::string::npos)
+        << fx.client.lastError();
+    EXPECT_EQ(fx.manager->numSessions(), 0u);
+
+    uint64_t id = fx.client.createSession("counter", "interp");
+    ASSERT_NE(id, 0u) << fx.client.lastError();
+    ASSERT_TRUE(fx.client.poke(id, "en", rtl::BitVec(1, uint64_t{1})));
+    uint64_t cycles = 0;
+    ASSERT_TRUE(fx.client.step(id, 5, &cycles));
+    EXPECT_EQ(cycles, 5u);
+}
+
 TEST(Serve, CheckpointRestoreOverTheWire)
 {
     ServeFixture fx;

@@ -11,6 +11,7 @@
 #include "rtl/dsl.hh"
 #include "rtl/vcd.hh"
 #include "util/logging.hh"
+#include "util/strcat.hh"
 
 using namespace parendi;
 using namespace parendi::rtl;
@@ -68,7 +69,7 @@ TEST(Vcd, ManySignalIdsAreUnique)
     std::ostringstream out;
     VcdWriter w(out);
     for (int i = 0; i < 200; ++i)
-        w.addSignal("s" + std::to_string(i), 1);
+        w.addSignal(strCat("s", i), 1);
     w.writeHeader("wide");
     // All 200 single-bit dumps must be distinguishable: dump all 1s
     // and count lines.
