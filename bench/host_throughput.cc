@@ -195,7 +195,7 @@ compileDesign(const std::string &design, uint32_t host_threads)
     setQuiet(true);
     core::CompilerOptions opt;
     opt.tilesPerChip = 256;
-    opt.machine.hostThreads = host_threads;
+    opt.threads = host_threads;
     return core::compile(bench::makeDesign(design), opt);
 }
 

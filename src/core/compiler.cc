@@ -18,19 +18,19 @@ peakRssBytes()
 }
 
 Simulation::Simulation(rtl::Netlist nl, const CompilerOptions &opt)
-    : nl_(std::move(nl))
 {
     auto start = std::chrono::steady_clock::now();
 
-    nl_.check();
-    if (rtl::hasCombinationalLoop(nl_))
+    nl.check();
+    if (rtl::hasCombinationalLoop(nl))
         fatal("design %s has a combinational loop; Parendi cannot "
-              "compile it (paper §5.3)", nl_.name().c_str());
+              "compile it (paper §5.3)", nl.name().c_str());
 
     if (opt.optimize)
-        nl_ = rtl::optimize(nl_, &report_.optStats);
+        nl = rtl::optimize(nl, &report_.optStats);
+    nl_ = std::make_shared<const rtl::Netlist>(std::move(nl));
 
-    fibers_ = std::make_unique<fiber::FiberSet>(nl_, opt.cost);
+    fibers_ = std::make_unique<fiber::FiberSet>(*nl_, opt.cost);
 
     partition::PartitionOptions popt;
     popt.chips = opt.chips;
@@ -43,14 +43,12 @@ Simulation::Simulation(rtl::Netlist nl, const CompilerOptions &opt)
     parts_ = partition::partitionDesign(*fibers_, popt,
                                         &report_.mergeStats);
 
-    ipu::IpuArch arch = opt.arch;
-    ipu::MachineOptions mopt = opt.machine;
-    mopt.lower = opt.lower;
-    machine_ = std::make_unique<ipu::IpuMachine>(*fibers_, parts_, arch,
-                                                 mopt);
+    machine_ = std::make_unique<ipu::IpuMachine>(
+        nl_, *fibers_, parts_, opt.threads, opt.lower, opt.exec,
+        opt.arch, opt.machine);
 
     auto end = std::chrono::steady_clock::now();
-    report_.metrics = rtl::computeMetrics(nl_);
+    report_.metrics = rtl::computeMetrics(*nl_);
     report_.fibers = fibers_->size();
     report_.processes = parts_.processes.size();
     report_.chips = opt.chips;

@@ -5,7 +5,8 @@
  * system (paper §5). The pipeline is:
  *
  *   netlist -> fiber extraction -> 4-stage partitioning -> tile
- *   placement & exchange schedule -> executable IpuMachine
+ *   placement & exchange schedule -> IpuMachine (the tiles run as
+ *   shards on the rtl::ShardEngine driver every sharded engine uses)
  *
  * The user selects the number of chips/tiles, the partitioning
  * strategy, and IPU-specific optimizations (differential array
@@ -17,6 +18,7 @@
 #define PARENDI_CORE_COMPILER_HH
 
 #include <memory>
+#include <utility>
 
 #include "fiber/fiber.hh"
 #include "ipu/machine.hh"
@@ -44,6 +46,11 @@ struct CompilerOptions
     partition::MultiChipStrategy multi =
         partition::MultiChipStrategy::Pre;
     partition::MergeOptions merge;
+    /** Host worker threads stepping the tiles (0/1 = sequential). */
+    uint32_t threads = 0;
+    /** Batch length, worker cap, shared pool and gang lanes of the
+     *  functional execution — the same knobs the par engine takes. */
+    rtl::ParConfig exec;
     ipu::MachineOptions machine;
     ipu::IpuArch arch;
     fiber::CostModel cost;
@@ -67,8 +74,9 @@ struct CompileReport
 };
 
 /**
- * A compiled, runnable simulation. Owns the netlist, the fiber
- * decomposition, the partitioning, and the machine.
+ * A compiled, runnable simulation. Owns the fiber decomposition, the
+ * partitioning and the machine, and shares the netlist with the
+ * machine.
  */
 class Simulation
 {
@@ -77,8 +85,14 @@ class Simulation
 
     ipu::IpuMachine &machine() { return *machine_; }
     const ipu::IpuMachine &machine() const { return *machine_; }
+    /** Hand the machine over (it shares the netlist, so it outlives
+     *  this Simulation); machine() is invalid afterwards. */
+    std::unique_ptr<ipu::IpuMachine> releaseMachine()
+    {
+        return std::move(machine_);
+    }
 
-    const rtl::Netlist &netlist() const { return nl_; }
+    const rtl::Netlist &netlist() const { return *nl_; }
     const fiber::FiberSet &fibers() const { return *fibers_; }
     const partition::Partitioning &partitioning() const { return parts_; }
     const CompileReport &report() const { return report_; }
@@ -92,7 +106,7 @@ class Simulation
     }
 
   private:
-    rtl::Netlist nl_;
+    std::shared_ptr<const rtl::Netlist> nl_;
     std::unique_ptr<fiber::FiberSet> fibers_;
     partition::Partitioning parts_;
     std::unique_ptr<ipu::IpuMachine> machine_;

@@ -41,93 +41,6 @@ parseEngineKind(const std::string &name)
 
 namespace {
 
-/**
- * The ipu engine owns a whole compiled Simulation (fibers +
- * partitioning + machine); the machine is itself the SimEngine.
- */
-class CompiledIpuEngine : public SimEngine
-{
-  public:
-    explicit CompiledIpuEngine(std::unique_ptr<Simulation> sim)
-        : sim_(std::move(sim))
-    {
-    }
-
-    const char *engineName() const override { return "ipu"; }
-    const rtl::Netlist &
-    netlist() const override
-    {
-        return sim_->netlist();
-    }
-    void step(size_t n = 1) override { sim_->machine().step(n); }
-    void reset() override { sim_->machine().reset(); }
-    uint64_t cycles() const override { return sim_->machine().cycles(); }
-    void
-    poke(const std::string &input, const rtl::BitVec &value) override
-    {
-        sim_->machine().poke(input, value);
-    }
-    void
-    poke(const std::string &input, uint64_t value) override
-    {
-        sim_->machine().poke(input, value);
-    }
-    rtl::BitVec
-    peek(const std::string &output) const override
-    {
-        return sim_->machine().peek(output);
-    }
-    rtl::BitVec
-    peekRegister(const std::string &reg) const override
-    {
-        return sim_->machine().peekRegister(reg);
-    }
-    rtl::BitVec
-    peekMemory(const std::string &mem, uint64_t index) const override
-    {
-        return sim_->machine().peekMemory(mem, index);
-    }
-    void
-    peekInto(const std::string &output, rtl::BitVec &out) const override
-    {
-        sim_->machine().peekInto(output, out);
-    }
-    void
-    peekRegisterInto(const std::string &reg,
-                     rtl::BitVec &out) const override
-    {
-        sim_->machine().peekRegisterInto(reg, out);
-    }
-    void
-    exportArch(ArchState &out) const override
-    {
-        sim_->machine().exportArch(out);
-    }
-    void
-    importArch(const ArchState &st) override
-    {
-        sim_->machine().importArch(st);
-    }
-    bool
-    enableProfiling(const obs::ProfileOptions &opt) override
-    {
-        return sim_->machine().enableProfiling(opt);
-    }
-    obs::SuperstepProfiler *
-    profiler() override
-    {
-        return sim_->machine().profiler();
-    }
-    const obs::SuperstepProfiler *
-    profiler() const override
-    {
-        return sim_->machine().profiler();
-    }
-
-  private:
-    std::unique_ptr<Simulation> sim_;
-};
-
 /** Bytes one replica of @p nl needs live per lane: every node's slot
  *  words plus every memory image. The gang multiplies this by R. */
 uint64_t
@@ -192,13 +105,13 @@ makeEngine(rtl::Netlist nl, const EngineOptions &opt)
         opt.kind != EngineKind::Cgen)
         warn("native kernels (--cgen) only apply to the par and cgen "
              "engines; ignoring");
-    uint32_t replicas = opt.replicas ? opt.replicas : 1;
-    if (replicas > 1 && opt.kind == EngineKind::Ipu) {
-        warn("gang simulation (--replicas) is not supported by the "
-             "ipu engine; running a single replica");
-        replicas = 1;
-    }
+    const uint32_t replicas = opt.replicas ? opt.replicas : 1;
     maybeWarnGangCacheCliff(nl, replicas);
+    // The sharded engines (par, ipu) take one execution config.
+    rtl::ParConfig pcfg;
+    pcfg.batch = opt.batch;
+    pcfg.pool = opt.pool;
+    pcfg.replicas = replicas;
     std::unique_ptr<SimEngine> engine;
     switch (opt.kind) {
       case EngineKind::Interp:
@@ -214,10 +127,6 @@ makeEngine(rtl::Netlist nl, const EngineOptions &opt)
         break;
       }
       case EngineKind::Par: {
-        rtl::ParConfig pcfg;
-        pcfg.batch = opt.batch;
-        pcfg.pool = opt.pool;
-        pcfg.replicas = replicas;
         obs::CostProfile measured;
         if (!opt.costProfileIn.empty() &&
             measured.load(opt.costProfileIn) && !measured.empty()) {
@@ -239,20 +148,17 @@ makeEngine(rtl::Netlist nl, const EngineOptions &opt)
       case EngineKind::Ipu: {
         CompilerOptions copt;
         copt.lower = opt.lower;
-        copt.machine.lower = opt.lower;
-        copt.machine.hostThreads = opt.threads;
-        copt.machine.batch = opt.batch;
-        engine = std::make_unique<CompiledIpuEngine>(
-            compile(std::move(nl), copt));
+        copt.threads = opt.threads;
+        copt.exec = pcfg;
+        engine = compile(std::move(nl), copt)->releaseMachine();
         break;
       }
     }
     if (!engine)
         panic("unhandled engine kind");
     // Activity-guarded eval (default on; --activity 0 is the
-    // always-eval A/B baseline). Engines without a guarded path — ipu,
-    // or a program whose activity plan could not be built — return
-    // false and keep running always-eval.
+    // always-eval A/B baseline). A program whose activity plan could
+    // not be built returns false and keeps running always-eval.
     if (opt.activity)
         engine->setActivity(true);
     if (opt.profile)

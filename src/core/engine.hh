@@ -2,16 +2,17 @@
  * @file
  * SimEngine: the uniform host-facing surface of every functional RTL
  * engine in the tree — the reference interpreter, the native cgen
- * engine, the simulated IPU machine, and the parallel host
- * interpreter. Test harnesses, the VCD tracer, and the CLI driver
+ * engine, and the two partitioned engines (the simulated IPU machine
+ * and the parallel host interpreter, both on the one sharded driver,
+ * rtl::ShardEngine). Test harnesses, the VCD tracer, and the CLI driver
  * operate on this interface so any engine can be swapped in; the
  * engines are bit-identical by construction (they all execute lowered
  * EvalPrograms of the same netlist), so "same stimulus in, same values
  * out" holds across the whole matrix.
  *
  * This header is intentionally free of any core-library dependency
- * (everything is inline) so the rtl/ipu/x86 libraries can implement
- * the interface without linking parendi_core. The makeEngine factory,
+ * (the interface is abstract) so the rtl/ipu/x86 libraries can
+ * implement it without linking parendi_core. The makeEngine factory,
  * which needs the whole compiler, lives in engine.cc inside
  * parendi_core.
  */
@@ -108,71 +109,40 @@ class SimEngine
     // gang engine with broadcast/lane-0 semantics: poke drives every
     // lane (so identical stimuli reproduce the scalar run bit-for-bit
     // in all lanes), peek reads lane 0. The lane-indexed calls below
-    // give each lane its own stimuli and observation; the defaults
-    // forward to the scalar API so single-replica engines need no
-    // changes.
+    // give each lane its own stimuli and observation.
 
     /** Number of replica lanes this engine steps per cycle (1 unless
      *  built as a gang). */
-    virtual uint32_t replicas() const { return 1; }
+    virtual uint32_t replicas() const = 0;
 
     /** Drive an input port of one lane only. */
-    virtual void
-    pokeLane(const std::string &input, const rtl::BitVec &value,
-             uint32_t lane)
-    {
-        (void)lane;
-        poke(input, value);
-    }
-    virtual void
-    pokeLane(const std::string &input, uint64_t value, uint32_t lane)
-    {
-        (void)lane;
-        poke(input, value);
-    }
+    virtual void pokeLane(const std::string &input,
+                          const rtl::BitVec &value, uint32_t lane) = 0;
+    virtual void pokeLane(const std::string &input, uint64_t value,
+                          uint32_t lane) = 0;
 
     /** Sample an output port of one lane. */
-    virtual rtl::BitVec
-    peekLane(const std::string &output, uint32_t lane) const
-    {
-        (void)lane;
-        return peek(output);
-    }
+    virtual rtl::BitVec peekLane(const std::string &output,
+                                 uint32_t lane) const = 0;
 
     /** Read a register's current value in one lane. */
-    virtual rtl::BitVec
-    peekRegisterLane(const std::string &reg, uint32_t lane) const
-    {
-        (void)lane;
-        return peekRegister(reg);
-    }
+    virtual rtl::BitVec peekRegisterLane(const std::string &reg,
+                                         uint32_t lane) const = 0;
 
     /** Read one memory entry in one lane. */
-    virtual rtl::BitVec
-    peekMemoryLane(const std::string &mem, uint64_t index,
-                   uint32_t lane) const
-    {
-        (void)lane;
-        return peekMemory(mem, index);
-    }
+    virtual rtl::BitVec peekMemoryLane(const std::string &mem,
+                                       uint64_t index,
+                                       uint32_t lane) const = 0;
 
     /**
-     * peek()/peekRegister() into a caller-owned BitVec. Engines with
-     * direct slot access override these to reuse @p out's buffer (the
-     * allocation-free sampling path of the VCD tracer); the default
-     * just forwards to the allocating peek.
+     * peek()/peekRegister() into a caller-owned BitVec, reusing @p
+     * out's buffer (the allocation-free sampling path of the VCD
+     * tracer).
      */
-    virtual void
-    peekInto(const std::string &output, rtl::BitVec &out) const
-    {
-        out = peek(output);
-    }
-
-    virtual void
-    peekRegisterInto(const std::string &reg, rtl::BitVec &out) const
-    {
-        out = peekRegister(reg);
-    }
+    virtual void peekInto(const std::string &output,
+                          rtl::BitVec &out) const = 0;
+    virtual void peekRegisterInto(const std::string &reg,
+                                  rtl::BitVec &out) const = 0;
 
     /**
      * Attach a runtime telemetry profiler (obs::SuperstepProfiler) to
@@ -193,17 +163,11 @@ class SimEngine
      * Activity-guarded evaluation: skip combinational groups whose
      * input cone is unchanged since the previous cycle (see
      * rtl::EvalState::enableActivity). Bit-identical to always-eval by
-     * construction. Returns false when the engine has no guarded path
-     * (the default; the ipu engine) — always-eval stays in effect.
+     * construction. Returns false when a program has no activity plan
+     * — always-eval stays in effect.
      */
-    virtual bool
-    setActivity(bool on)
-    {
-        (void)on;
-        return false;
-    }
-
-    virtual bool activityEnabled() const { return false; }
+    virtual bool setActivity(bool on) = 0;
+    virtual bool activityEnabled() const = 0;
 
     /**
      * Export measured per-fiber evaluation costs (obs::CostProfile),
@@ -270,24 +234,22 @@ struct EngineOptions
     /** Multi-worker par and ipu engines: cycles per pool dispatch
      *  (`--batch N`; 0 = each step(n) call is one batch). */
     size_t batch = 0;
-    /** Externally owned BSP worker pool for the par engine, shared
-     *  across engines (the serving layer's fair-share scheduler steps
-     *  many sessions on one pool). Null = the engine owns a private
-     *  pool. See ParConfig::pool for the sharing contract. */
+    /** Externally owned BSP worker pool for the par and ipu engines,
+     *  shared across engines (the serving layer's fair-share scheduler
+     *  steps many sessions on one pool). Null = the engine owns a
+     *  private pool. See ParConfig::pool for the sharing contract. */
     std::shared_ptr<util::BspPool> pool;
     /** Artifact cache that cgen compiles resolve through (par --cgen
      *  and the cgen engine). Null = the per-process directory cache.
      *  Must outlive the engine. See rtl::ArtifactCache. */
     rtl::ArtifactCache *artifacts = nullptr;
     /** Gang simulation: replica lanes stepped in lock-step per cycle
-     *  (`--replicas N`). Supported by the interp, cgen and par engines
-     *  (lanes compose with par threads); ipu warns and runs a single
-     *  replica. 1 = scalar. */
+     *  (`--replicas N`). Every engine supports it (lanes compose with
+     *  par and ipu threads). 1 = scalar. */
     uint32_t replicas = 1;
     /** Activity-guarded evaluation (`--activity`; default on): skip
      *  combinational groups whose inputs are unchanged. `--activity 0`
-     *  is the always-eval A/B baseline. The ipu engine has no guarded
-     *  path and silently runs always-eval. */
+     *  is the always-eval A/B baseline. */
     bool activity = true;
     /** Load measured per-fiber costs from this file (see
      *  obs::CostProfile) and let the par engine's fiber placement use
@@ -299,7 +261,8 @@ struct EngineOptions
 /**
  * Build an engine over @p nl (taken by value; move it in). The ipu
  * engine runs the full compiler pipeline with default CompilerOptions
- * (hostThreads/lower overridden from @p opt).
+ * (threads, lowering and execution knobs taken from @p opt) and
+ * returns the compiled machine itself.
  */
 std::unique_ptr<SimEngine> makeEngine(rtl::Netlist nl,
                                       const EngineOptions &opt);

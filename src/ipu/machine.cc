@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <map>
-#include <thread>
+#include <utility>
 
 #include "util/logging.hh"
 
@@ -13,28 +13,24 @@ using fiber::FiberSet;
 using partition::Partitioning;
 using partition::Process;
 
-IpuMachine::IpuMachine(const FiberSet &fs, const Partitioning &parts,
-                       const IpuArch &arch_, const MachineOptions &opt_)
-    : nl(fs.netlist()), arch(arch_), opt(opt_)
+IpuMachine::IpuMachine(std::shared_ptr<const Netlist> nl,
+                       const FiberSet &fs, const Partitioning &parts,
+                       uint32_t threads, const LowerOptions &lower,
+                       const ParConfig &cfg, const IpuArch &arch_,
+                       const MachineOptions &opt_)
+    : ShardEngine(std::move(nl), threads, cfg), arch(arch_), opt(opt_)
 {
+    if (&fs.netlist() != &netlist())
+        panic("IpuMachine: the fiber set is not over the netlist it "
+              "was given");
     parts.checkComplete(fs);
-    buildTiles(fs, parts);
-    accountCosts(fs, parts);
-    hostWorkers_ = std::min<uint32_t>(
-        opt.hostThreads, static_cast<uint32_t>(tiles.size()));
-    // Same worker cap as the par engine: tiles far outnumber cores
-    // (thousands of shards), so host workers track the host's real
-    // parallelism, not the tile count.
-    const uint32_t maxw = opt.maxHostWorkers
-        ? opt.maxHostWorkers
-        : std::max(1u, std::thread::hardware_concurrency());
-    hostWorkers_ = std::min(hostWorkers_, maxw);
-    if (hostWorkers_ >= 2)
-        pool = std::make_unique<util::BspPool>(hostWorkers_);
-    shards.evalAll();
+    // Tiles far outnumber cores (thousands of shards), so host workers
+    // track the host's real parallelism, not the tile count.
+    buildShards(buildTiles(fs, parts), lower);
+    accountCosts();
 }
 
-void
+std::vector<std::vector<NodeId>>
 IpuMachine::buildTiles(const FiberSet &fs, const Partitioning &parts)
 {
     // Per-chip process counts and capacity check.
@@ -91,15 +87,13 @@ IpuMachine::buildTiles(const FiberSet &fs, const Partitioning &parts)
              static_cast<unsigned long long>(maxTileCode),
              static_cast<unsigned long long>(arch.tileCodeBytes));
 
-    // Lower every tile program and derive the exchange schedule.
-    shards = ShardSet(nl, nodeSets, opt.lower);
+    return nodeSets;
 }
 
 void
-IpuMachine::accountCosts(const FiberSet &fs, const Partitioning &parts)
+IpuMachine::accountCosts()
 {
-    (void)fs;
-    (void)parts;
+    const Netlist &nl = netlist();
     // t_comp: the straggler tile.
     uint64_t max_comp = 0;
     for (const Tile &t : tiles)
@@ -132,7 +126,7 @@ IpuMachine::accountCosts(const FiberSet &fs, const Partitioning &parts)
         // same-chip copy and the first copy per remote chip.
         std::map<std::pair<uint32_t, uint32_t>, std::vector<bool>>
             seen; // (owner, slot) -> per-chip first-copy flags
-        for (const ShardSet::RegMessage &m : shards.regMessages()) {
+        for (const ShardSet::RegMessage &m : shards().regMessages()) {
             auto key = std::make_pair(m.ownerShard, m.ownerSlot);
             auto &flags = seen[key];
             if (flags.empty())
@@ -143,7 +137,7 @@ IpuMachine::accountCosts(const FiberSet &fs, const Partitioning &parts)
             account(m.ownerShard, m.readerShard, m.bytes, first);
         }
     }
-    for (const ShardSet::PortBroadcast &b : shards.broadcasts()) {
+    for (const ShardSet::PortBroadcast &b : shards().broadcasts()) {
         uint64_t diff_bytes =
             uint64_t{(b.addrWidth + 1u + 31u) / 32u} * 4 +
             uint64_t{(nl.mem(b.mem).width + 31u) / 32u} * 4;
@@ -179,84 +173,6 @@ IpuMachine::accountCosts(const FiberSet &fs, const Partitioning &parts)
     costs.tCommOff = offChipExchangeCycles(arch, off_bytes);
     costs.tSync =
         2.0 * arch.barrierCycles(tilesUsed(), chipsUsed_);
-}
-
-void
-IpuMachine::step(size_t n)
-{
-    // Fused batched dispatch on the pool; without one, stepCycles runs
-    // the in-place cycle on the caller.
-    size_t done = 0;
-    while (done < n) {
-        const size_t k =
-            opt.batch ? std::min(opt.batch, n - done) : n - done;
-        shards.stepCycles(pool.get(), k);
-        done += k;
-        cycleCount += k;
-    }
-}
-
-bool
-IpuMachine::enableProfiling(const obs::ProfileOptions &popt)
-{
-    if (profiler_)
-        return true;
-    uint32_t workers = pool ? pool->threads() : 1;
-    profiler_ = std::make_unique<obs::SuperstepProfiler>(
-        workers, shards.size(), popt);
-    shards.setProfiler(profiler_.get());
-    if (pool)
-        pool->setWaitObserver(profiler_.get());
-    return true;
-}
-
-void
-IpuMachine::reset()
-{
-    shards.reset();
-    cycleCount = 0;
-}
-
-void
-IpuMachine::poke(const std::string &input, const BitVec &value)
-{
-    shards.poke(input, value);
-}
-
-void
-IpuMachine::poke(const std::string &input, uint64_t value)
-{
-    shards.poke(input, value);
-}
-
-BitVec
-IpuMachine::peek(const std::string &output) const
-{
-    return shards.peek(output);
-}
-
-BitVec
-IpuMachine::peekRegister(const std::string &reg) const
-{
-    return shards.peekRegister(reg);
-}
-
-BitVec
-IpuMachine::peekMemory(const std::string &mem, uint64_t index) const
-{
-    return shards.peekMemory(mem, index);
-}
-
-void
-IpuMachine::peekInto(const std::string &output, BitVec &out) const
-{
-    shards.peekInto(output, out);
-}
-
-void
-IpuMachine::peekRegisterInto(const std::string &reg, BitVec &out) const
-{
-    shards.peekRegisterInto(reg, out);
 }
 
 } // namespace parendi::ipu

@@ -14,10 +14,13 @@
  *               flow from owner tiles to reader tiles
  *   barrier   : (modeled)
  *
- * The functional execution is an rtl::ShardSet (one shard per tile);
- * with hostThreads >= 2 the whole cycle — exchange phases included —
- * runs on a persistent util::BspPool whose workers realize the BSP
- * barriers on the host.
+ * The functional execution is the rtl::ShardEngine driver (one shard
+ * per tile), the same one the par engine runs: with two or more host
+ * workers the whole cycle — exchange phases included — runs on a
+ * persistent util::BspPool whose workers realize the BSP barriers on
+ * the host, and activity guards, gang lanes and a shared pool work as
+ * they do on par. This class only places the tiles and keeps the cost
+ * model.
  *
  * Performance is accounted analytically per RTL cycle from the
  * partitioning and the IpuArch cost model (t_sync + t_comm + t_comp,
@@ -33,13 +36,10 @@
 #include <string>
 #include <vector>
 
-#include "core/engine.hh"
 #include "ipu/arch.hh"
 #include "ipu/exchange.hh"
 #include "partition/process.hh"
-#include "rtl/eval.hh"
-#include "rtl/shard.hh"
-#include "util/bsp_pool.hh"
+#include "rtl/shard_engine.hh"
 
 namespace parendi::ipu {
 
@@ -70,23 +70,6 @@ struct MachineOptions
      *  array replicas are modeled as receiving full copies each cycle
      *  (functional behaviour is unchanged — this is the ablation). */
     bool differentialExchange = true;
-
-    /** Host worker threads for the functional execution (BSP makes
-     *  this trivially safe: tiles only touch private state between
-     *  barriers). 0 = sequential execution. */
-    uint32_t hostThreads = 0;
-
-    /** Pooled fused path: cycles per pool dispatch (0 = each step(n)
-     *  call is one batch). */
-    size_t batch = 0;
-
-    /** Cap on pooled host workers; 0 = the host's hardware
-     *  concurrency (see rtl::ParConfig::maxWorkers). */
-    uint32_t maxHostWorkers = 0;
-
-    /** Lowering (specialization/fusion) applied to every tile
-     *  program; functional behaviour is unchanged by construction. */
-    rtl::LowerOptions lower;
 };
 
 /** One tile's placement and modeled cost (the functional program and
@@ -98,67 +81,26 @@ struct Tile
     uint64_t computeCycles = 0; ///< modeled cycles per RTL cycle
 };
 
-class IpuMachine : public core::SimEngine
+class IpuMachine : public rtl::ShardEngine
 {
   public:
-    IpuMachine(const fiber::FiberSet &fs,
+    /**
+     * Place every process of @p parts on a tile and run the tiles as
+     * shards of @p nl (the netlist @p fs was extracted from, shared
+     * with the caller). @p threads, @p lower and @p cfg are the
+     * execution knobs every sharded engine takes (see
+     * rtl::ParConfig); the cost model is computed here, once.
+     */
+    IpuMachine(std::shared_ptr<const rtl::Netlist> nl,
+               const fiber::FiberSet &fs,
                const partition::Partitioning &parts,
+               uint32_t threads = 0,
+               const rtl::LowerOptions &lower = rtl::LowerOptions{},
+               const rtl::ParConfig &cfg = rtl::ParConfig{},
                const IpuArch &arch = IpuArch{},
                const MachineOptions &opt = MachineOptions{});
 
-    // -- Functional simulation -------------------------------------------
-
     const char *engineName() const override { return "ipu"; }
-    const rtl::Netlist &netlist() const override { return nl; }
-
-    /** Simulate @p n RTL cycles. */
-    void step(size_t n = 1) override;
-
-    void reset() override;
-    uint64_t cycles() const override { return cycleCount; }
-
-    void poke(const std::string &input,
-              const rtl::BitVec &value) override;
-    void poke(const std::string &input, uint64_t value) override;
-    rtl::BitVec peek(const std::string &output) const override;
-    rtl::BitVec peekRegister(const std::string &reg) const override;
-    /** Read one entry of a memory (from any replica; the
-     *  differential exchange keeps them identical). */
-    rtl::BitVec peekMemory(const std::string &mem,
-                           uint64_t index) const override;
-    void peekInto(const std::string &output,
-                  rtl::BitVec &out) const override;
-    void peekRegisterInto(const std::string &reg,
-                          rtl::BitVec &out) const override;
-
-    /** Canonical architectural state (see SimEngine / src/ckpt). */
-    void
-    exportArch(core::ArchState &out) const override
-    {
-        shards.exportArch(out);
-        out.cycles = cycleCount;
-    }
-    void
-    importArch(const core::ArchState &st) override
-    {
-        shards.importArch(st);
-        cycleCount = st.cycles;
-    }
-
-    /** Attach an obs::SuperstepProfiler to the functional execution
-     *  (pooled or single-worker) and register it as the
-     *  pool's barrier-wait observer. Always succeeds. */
-    bool enableProfiling(const obs::ProfileOptions &opt =
-                             obs::ProfileOptions{}) override;
-    obs::SuperstepProfiler *profiler() override
-    {
-        return profiler_.get();
-    }
-    const obs::SuperstepProfiler *
-    profiler() const override
-    {
-        return profiler_.get();
-    }
 
     // -- Performance model -----------------------------------------------
 
@@ -178,33 +120,22 @@ class IpuMachine : public core::SimEngine
     const IpuArch &architecture() const { return arch; }
 
   private:
-    void buildTiles(const fiber::FiberSet &fs,
-                    const partition::Partitioning &parts);
-    void accountCosts(const fiber::FiberSet &fs,
-                      const partition::Partitioning &parts);
+    /** Place the tiles; returns one node set per tile. */
+    std::vector<std::vector<rtl::NodeId>>
+    buildTiles(const fiber::FiberSet &fs,
+               const partition::Partitioning &parts);
+    void accountCosts();
 
-    const rtl::Netlist &nl;
     IpuArch arch;
     MachineOptions opt;
 
     std::vector<Tile> tiles;
     uint32_t chipsUsed_ = 1;
-    /** opt.hostThreads clamped to tiles and host concurrency (or the
-     *  explicit maxHostWorkers cap); >= 2 gets a pool. */
-    uint32_t hostWorkers_ = 0;
-
-    rtl::ShardSet shards;
-    // Declared before pool: the pool holds a raw observer pointer to
-    // the profiler, so the pool (destroyed first, in reverse member
-    // order) must never outlive it.
-    std::unique_ptr<obs::SuperstepProfiler> profiler_;
-    std::unique_ptr<util::BspPool> pool;    ///< null -> one worker
 
     CycleCosts costs;
     ExchangeTraffic traffic_;
     uint64_t maxTileMem = 0;
     uint64_t maxTileCode = 0;
-    uint64_t cycleCount = 0;
 };
 
 } // namespace parendi::ipu

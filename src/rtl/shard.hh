@@ -1,11 +1,12 @@
 /**
  * @file
  * ShardSet: the functional core of every partitioned BSP host
- * execution. A netlist is split into shards (per-IPU-tile processes in
- * IpuMachine, per-host-thread partitions in ParallelInterpreter); each
- * shard's node set is lowered to a private EvalProgram + EvalState, and
- * the ShardSet derives the exchange schedule that keeps replicated
- * state coherent across shards:
+ * execution. A netlist is split into shards by a placement policy
+ * (per-IPU-tile processes in IpuMachine, per-host-thread partitions in
+ * ParallelInterpreter; both run the set through rtl::ShardEngine, see
+ * shard_engine.hh); each shard's node set is lowered to a private
+ * EvalProgram + EvalState, and the ShardSet derives the exchange
+ * schedule that keeps replicated state coherent across shards:
  *
  *  - register messages: the owner shard (the one computing RegNext)
  *    sends the latched value to every shard holding a read-only copy;

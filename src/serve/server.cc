@@ -8,6 +8,7 @@
 #include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
+#include <utility>
 
 #include "serve/protocol.hh"
 #include "util/logging.hh"
@@ -51,7 +52,10 @@ Server::~Server()
 void
 Server::start()
 {
-    acceptThread_ = std::thread([this] { acceptLoop(); });
+    // The loop keeps its own copy of the fd: stop() retires listenFd_
+    // under the lock while accept() may still be blocked on it.
+    acceptThread_ =
+        std::thread([this, fd = listenFd_] { acceptLoop(fd); });
 }
 
 void
@@ -71,18 +75,17 @@ void
 Server::stop()
 {
     std::vector<std::thread> threads;
+    int listenFd = -1;
     {
         std::lock_guard<std::mutex> lk(mutex_);
         if (stopped_)
             return;
         stopped_ = true;
-        // Closing the listener unblocks accept(); shutting down the
-        // connection fds unblocks any recvFrame mid-read.
-        if (listenFd_ >= 0) {
-            ::shutdown(listenFd_, SHUT_RDWR);
-            ::close(listenFd_);
-            listenFd_ = -1;
-        }
+        // Shutting the listener down unblocks accept(); shutting down
+        // the connection fds unblocks any recvFrame mid-read.
+        listenFd = std::exchange(listenFd_, -1);
+        if (listenFd >= 0)
+            ::shutdown(listenFd, SHUT_RDWR);
         for (int fd : connFds_)
             ::shutdown(fd, SHUT_RDWR);
         threads.swap(connThreads_);
@@ -90,6 +93,10 @@ Server::stop()
     shutdownCv_.notify_all();
     if (acceptThread_.joinable())
         acceptThread_.join();
+    // Closed only once accept() has returned, so its fd number cannot
+    // be reused while the loop still waits on it.
+    if (listenFd >= 0)
+        ::close(listenFd);
     for (auto &t : threads)
         t.join();
 }
@@ -102,10 +109,10 @@ Server::shutdownRequested() const
 }
 
 void
-Server::acceptLoop()
+Server::acceptLoop(int listenFd)
 {
     for (;;) {
-        int fd = ::accept(listenFd_, nullptr, nullptr);
+        int fd = ::accept(listenFd, nullptr, nullptr);
         if (fd < 0) {
             if (errno == EINTR)
                 continue;

@@ -50,7 +50,7 @@ class Server
     bool shutdownRequested() const;
 
   private:
-    void acceptLoop();
+    void acceptLoop(int listenFd);
     void handleConnection(int fd);
     /** Decode one request, run it against the manager, encode the
      *  response. Never throws. A Shutdown request sets

@@ -21,9 +21,8 @@ SessionManager::SessionManager(ManagerOptions opt)
           counters_.get("serve_lane_cycles_executed")),
       ctrSchedulerTurns_(counters_.get("scheduler_turns"))
 {
-    uint32_t threads = opt_.poolThreads
-        ? opt_.poolThreads
-        : std::max(1u, std::thread::hardware_concurrency());
+    uint32_t threads = opt_.poolThreads ? opt_.poolThreads
+                                        : util::hostConcurrency();
     if (threads >= 2)
         pool_ = std::make_shared<util::BspPool>(threads);
     store_ = std::make_unique<ArtifactStore>(opt_.store, counters_);
@@ -81,7 +80,7 @@ SessionManager::createSession(const std::string &designSpec,
         eopt.cgen = sopt.cgen;
         eopt.batch = sopt.batch;
         eopt.replicas = sopt.replicas;
-        eopt.pool = kind == core::EngineKind::Par ? pool_ : nullptr;
+        eopt.pool = pool_;
         eopt.artifacts = store_.get();
         engine = core::makeEngine(std::move(nl), eopt);
     } catch (const FatalError &e) {
@@ -101,8 +100,8 @@ SessionManager::createSession(const std::string &designSpec,
     auto session = std::make_shared<Session>();
     session->handle = std::make_unique<core::SessionHandle>(
         std::move(engine), designSpec);
-    // Ask the engine, not the request: ipu forces replicas to 1,
-    // and lane-cycle accounting must bill what actually runs.
+    // Ask the engine, not the request (0 lanes runs one):
+    // lane-cycle accounting must bill what actually runs.
     session->replicas = session->handle->engine().replicas();
 
     std::lock_guard<std::mutex> lk(mutex_);

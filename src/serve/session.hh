@@ -4,7 +4,7 @@
  * session wraps one core::SessionHandle (engine + design identity);
  * all sessions share
  *
- *  - ONE util::BspPool: par engines are built with
+ *  - ONE util::BspPool: par and ipu engines are built with
  *    EngineOptions::pool, so N concurrent sessions cost one pool's
  *    worth of worker threads instead of N, and
  *  - ONE serve::ArtifactStore: native-kernel compiles are
@@ -15,7 +15,7 @@
  * > 0) is visited in cyclic id order; a visit grants the session
  * `quantumCycles` of credit, and the session runs
  * min(credit, pending) cycles as one engine step (which is one fused
- * batched pool dispatch for par engines — the PR 5 path). The credit
+ * batched pool dispatch for par and ipu engines). The credit
  * carried by a session that had less pending work than its grant is
  * kept until the session goes idle, so light interactive sessions
  * (poke/step-100/peek loops) accumulate the right to burst and are

@@ -17,14 +17,14 @@
  *     --batch N         multi-worker par/ipu: cycles per pool
  *                       dispatch (default 0 = one batch per step call)
  *     --replicas N      gang simulation: step N independent replicas
- *                       of the design in lock-step (SoA lanes; interp,
- *                       cgen and par engines). Scalar pokes drive all
- *                       lanes, scalar peeks read lane 0.
+ *                       of the design in lock-step (SoA lanes; every
+ *                       engine). Scalar pokes drive all lanes, scalar
+ *                       peeks read lane 0.
  *     --activity 0|1    activity-guarded evaluation (default 1): skip
  *                       combinational groups whose inputs are
  *                       unchanged since the previous cycle.
  *                       Bit-identical to always-eval; 0 is the A/B
- *                       baseline. interp, cgen and par engines.
+ *                       baseline. Every engine.
  *     --cost-profile FILE  measured per-fiber cost profile: consumed
  *                       before the run (if FILE exists, the par
  *                       engine's fiber placement weighs the measured
@@ -428,16 +428,14 @@ main(int argc, char **argv)
             if (args.cgen)
                 warn("--cgen is not supported by the ipu engine; "
                      "ignoring");
-            if (args.replicas > 1)
-                warn("--replicas is not supported by the ipu engine; "
-                     "running a single replica");
             core::CompilerOptions opt;
             opt.chips = args.chips;
             opt.tilesPerChip = args.tiles;
             opt.optimize = args.optimize;
             opt.machine.differentialExchange = args.diffExchange;
-            opt.machine.hostThreads = args.threads;
-            opt.machine.batch = args.batch;
+            opt.threads = args.threads;
+            opt.exec.batch = args.batch;
+            opt.exec.replicas = args.replicas;
             if (args.hyper)
                 opt.single = partition::SingleChipStrategy::Hypergraph;
             if (args.multi == "post")
@@ -449,6 +447,8 @@ main(int argc, char **argv)
 
             sim = core::compile(std::move(nl), opt);
             engine = &sim->machine();
+            if (args.activity)
+                engine->setActivity(true);
             if (args.profile) {
                 obs::ProfileOptions popt;
                 popt.sampleEvery = args.profileEvery;

@@ -116,6 +116,11 @@ class BspWaitObserver
     virtual void epochWaitEnd(uint32_t worker) = 0;
 };
 
+/** Worker threads the host can run at once: its hardware concurrency,
+ *  or 1 when the runtime cannot say. The default cap on shards and
+ *  pool workers everywhere a count is not given. */
+uint32_t hostConcurrency();
+
 class BspPool
 {
   public:
@@ -134,22 +139,6 @@ class BspPool
      *  return once all are done (the barrier). The job must only write
      *  state private to its worker index — that is the BSP contract. */
     void run(const std::function<void(uint32_t worker)> &job);
-
-    /**
-     * Static parallel-for: split [0, n) into one contiguous range per
-     * worker and run body(begin, end) on each. The static split keeps
-     * the work assignment (and therefore any write interleaving within
-     * a range) deterministic across runs and thread counts.
-     */
-    void forEach(size_t n,
-                 const std::function<void(size_t begin, size_t end)> &body);
-
-    /** forEach variant that also passes the executing worker's index
-     *  (the instrumentation hook point: profilers attribute each range
-     *  to the worker that ran it). */
-    void forEach(size_t n,
-                 const std::function<void(uint32_t worker, size_t begin,
-                                          size_t end)> &body);
 
     /**
      * Install (or clear, with nullptr) the barrier-wait observer. Must

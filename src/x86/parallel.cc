@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <thread>
 #include <vector>
 
 #include "fiber/fiber.hh"
@@ -58,29 +57,20 @@ placeWeighted(partition::Hypergraph &graph,
 
 } // namespace
 
-ParallelInterpreter::ParallelInterpreter(Netlist netlist,
+ParallelInterpreter::ParallelInterpreter(Netlist design,
                                          uint32_t threads,
                                          const LowerOptions &lower,
                                          const ParConfig &cfg)
-    : nl_(std::move(netlist)), batch_(cfg.batch)
+    : ShardEngine(std::make_shared<const Netlist>(std::move(design)),
+                  threads, cfg)
 {
-    fiber::FiberSet fs(nl_);
-    // The shard count adapts to the host's real parallelism (unless
-    // the config pins a worker count): shards beyond the core count
-    // buy no concurrency and only add cross-shard exchange traffic
-    // and barrier parties. The partition is bit-exact at any shard
-    // count, so requesting 8 threads on a 2-core host simply yields
-    // the 2-shard placement. A shared pool pins the width instead: the
-    // pool's worker count is the parallelism actually available.
-    const uint32_t maxw = cfg.pool ? cfg.pool->threads()
-        : cfg.maxWorkers
-        ? cfg.maxWorkers
-        : std::max(1u, std::thread::hardware_concurrency());
-    if (cfg.pool && threads == 0)
-        threads = cfg.pool->threads();
+    const Netlist &nl = netlist();
+    fiber::FiberSet fs(nl);
+    // One shard per usable worker: the partition is bit-exact at any
+    // shard count, so requesting 8 threads on a 2-core host simply
+    // yields the 2-shard placement.
     size_t nshards = std::max<size_t>(
-        1, std::min<size_t>(std::min<uint32_t>(threads, maxw),
-                            fs.size()));
+        1, std::min<size_t>(workerBudget(), fs.size()));
 
     // Keep each fiber's static cost and stable name for cost-profile
     // export; the placement itself runs on the fiber hypergraph.
@@ -88,7 +78,7 @@ ParallelInterpreter::ParallelInterpreter(Netlist netlist,
     std::vector<uint64_t> staticW(fs.size());
     for (size_t fi = 0; fi < fs.size(); ++fi) {
         fibers_[fi].staticCost = static_cast<double>(fs[fi].totalX86);
-        fibers_[fi].key = fiberCostKey(nl_, fs[fi]);
+        fibers_[fi].key = fiberCostKey(nl, fs[fi]);
         staticW[fi] = fs[fi].totalX86;
     }
     partition::Hypergraph graph =
@@ -127,7 +117,7 @@ ParallelInterpreter::ParallelInterpreter(Netlist netlist,
 
     // Each shard's node set is the ascending union of its fibers'
     // cones: mark the cones in a bitset, then collect the set bits.
-    const size_t n = nl_.numNodes();
+    const size_t n = nl.numNodes();
     DenseBitset all(n);
     std::vector<std::vector<NodeId>> nodeSets(assignment_.size());
     for (size_t s = 0; s < assignment_.size(); ++s) {
@@ -144,160 +134,28 @@ ParallelInterpreter::ParallelInterpreter(Netlist netlist,
     }
     placement_.unionNodes = all.count();
 
-    shards_ = ShardSet(nl_, nodeSets, lower, cfg.replicas);
-    placement_.shards = shards_.size();
-    for (size_t s = 0; s < shards_.size(); ++s)
-        placement_.shardInstrs += shards_.program(s).instrs.size();
-    for (const ShardSet::RegMessage &m : shards_.regMessages())
+    buildShards(nodeSets, lower);
+    placement_.shards = numShards();
+    for (size_t s = 0; s < numShards(); ++s)
+        placement_.shardInstrs += shards().program(s).instrs.size();
+    for (const ShardSet::RegMessage &m : shards().regMessages())
         placement_.exchangeWords += m.words;
-
-    if (cfg.pool) {
-        pool_ = cfg.pool;
-        poolShared_ = true;
-    } else {
-        const uint32_t workers = static_cast<uint32_t>(
-            std::min<size_t>(shards_.size(), maxw));
-        if (threads >= 2 && shards_.size() >= 2 && workers >= 2)
-            pool_ = std::make_unique<util::BspPool>(workers);
-    }
-    // Evaluate combinational logic once so outputs are observable
-    // before the first clock edge.
-    shards_.evalAll();
-}
-
-void
-ParallelInterpreter::step(size_t n)
-{
-    size_t done = 0;
-    while (done < n) {
-        const size_t k =
-            batch_ ? std::min(batch_, n - done) : n - done;
-        shards_.stepCycles(pool_.get(), k);
-        done += k;
-        cycleCount_ += k;
-    }
-}
-
-void
-ParallelInterpreter::reset()
-{
-    shards_.reset();
-    cycleCount_ = 0;
-}
-
-void
-ParallelInterpreter::poke(const std::string &input, const BitVec &value)
-{
-    shards_.poke(input, value);
-}
-
-void
-ParallelInterpreter::poke(const std::string &input, uint64_t value)
-{
-    shards_.poke(input, value);
-}
-
-BitVec
-ParallelInterpreter::peek(const std::string &output) const
-{
-    return shards_.peek(output);
-}
-
-BitVec
-ParallelInterpreter::peekRegister(const std::string &reg) const
-{
-    return shards_.peekRegister(reg);
-}
-
-BitVec
-ParallelInterpreter::peekMemory(const std::string &mem,
-                                uint64_t index) const
-{
-    return shards_.peekMemory(mem, index);
-}
-
-void
-ParallelInterpreter::peekInto(const std::string &output,
-                              BitVec &out) const
-{
-    shards_.peekInto(output, out);
-}
-
-void
-ParallelInterpreter::peekRegisterInto(const std::string &reg,
-                                      BitVec &out) const
-{
-    shards_.peekRegisterInto(reg, out);
-}
-
-void
-ParallelInterpreter::pokeLane(const std::string &input,
-                              const BitVec &value, uint32_t lane)
-{
-    shards_.pokeLane(input, value, lane);
-}
-
-void
-ParallelInterpreter::pokeLane(const std::string &input, uint64_t value,
-                              uint32_t lane)
-{
-    PortId id = nl_.findInput(input);
-    if (id == nl_.numInputs())
-        fatal("no input port named %s", input.c_str());
-    shards_.pokeLane(input, BitVec(nl_.input(id).width, value), lane);
-}
-
-BitVec
-ParallelInterpreter::peekLane(const std::string &output,
-                              uint32_t lane) const
-{
-    return shards_.peekLane(output, lane);
-}
-
-BitVec
-ParallelInterpreter::peekRegisterLane(const std::string &reg,
-                                      uint32_t lane) const
-{
-    return shards_.peekRegisterLane(reg, lane);
-}
-
-BitVec
-ParallelInterpreter::peekMemoryLane(const std::string &mem,
-                                    uint64_t index, uint32_t lane) const
-{
-    return shards_.peekMemoryLane(mem, index, lane);
-}
-
-bool
-ParallelInterpreter::enableProfiling(const obs::ProfileOptions &opt)
-{
-    if (profiler_)
-        return true;
-    uint32_t workers = pool_ ? pool_->threads() : 1;
-    profiler_ = std::make_unique<obs::SuperstepProfiler>(
-        workers, shards_.size(), opt);
-    shards_.setProfiler(profiler_.get());
-    // A shared pool serves many engines; its wait observer slot
-    // cannot belong to any one of them.
-    if (pool_ && !poolShared_)
-        pool_->setWaitObserver(profiler_.get());
-    return true;
 }
 
 size_t
 ParallelInterpreter::enableNativeKernels(const CgenOptions &opt)
 {
-    size_t attached = cgenAttachShards(shards_, opt);
-    native_ = attached == shards_.size() && attached > 0;
+    size_t attached = cgenAttachShards(mutableShards(), opt);
+    native_ = attached == numShards() && attached > 0;
     return attached;
 }
 
 bool
 ParallelInterpreter::collectCostProfile(obs::CostProfile &out) const
 {
-    if (!profiler_)
+    if (!profiler())
         return false;
-    const std::vector<obs::ShardEvalStat> &stats = profiler_->shardEval();
+    const std::vector<obs::ShardEvalStat> &stats = profiler()->shardEval();
     uint64_t sum = 0;
     for (const obs::ShardEvalStat &st : stats)
         sum += st.ticks;

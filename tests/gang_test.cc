@@ -8,7 +8,8 @@
  * the scalar API must keep broadcast/lane-0 semantics, and gang state
  * must survive reset and checkpoint/restore. Covered engines: the
  * gang interpreter (the gather/scatter correctness path), the
- * lane-vectorized cgen kernels, and the sharded parallel engine.
+ * lane-vectorized cgen kernels, and both sharded engines (par and
+ * ipu).
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 #include <sstream>
 #include <vector>
 
+#include "core/engine.hh"
 #include "core/session.hh"
 #include "designs/designs.hh"
 #include "random_netlist.hh"
@@ -171,6 +173,30 @@ TEST(Gang, ParallelEngineWithNativeKernelsLanesMatch)
     rtl::ParallelInterpreter gang(nl, 4, rtl::LowerOptions{}, pcfg);
     ASSERT_EQ(gang.enableNativeKernels(), gang.numShards());
     checkLaneIsolation(nl, gang, 24, 8, 0x5eed5, "gang par-cgen");
+}
+
+TEST(Gang, IpuEngineWithActivityLanesMatch)
+{
+    // The ipu engine takes gang lanes, activity and host workers from
+    // the sharded driver it shares with par.
+    const Netlist designs[] = {designs::makeSr(4),
+                               randomNetlist(11, gangFuzzConfig())};
+    for (const Netlist &nl : designs) {
+        core::EngineOptions opt;
+        opt.kind = core::EngineKind::Ipu;
+        opt.activity = true;
+        opt.replicas = 2;
+        opt.threads = 2;
+        auto gang = core::makeEngine(Netlist(nl), opt);
+        ASSERT_STREQ(gang->engineName(), "ipu");
+        ASSERT_EQ(gang->replicas(), 2u);
+        EXPECT_TRUE(gang->setActivity(true)) << nl.name();
+        EXPECT_TRUE(gang->activityEnabled()) << nl.name();
+        // The compile optimizes (dead inputs go), so the references
+        // run the design the machine was built from.
+        checkLaneIsolation(gang->netlist(), *gang, 24, 8, 0x1b0,
+                           "gang ipu");
+    }
 }
 
 // -- Lane isolation under targeted writes --------------------------------

@@ -315,10 +315,11 @@ TEST(Machine, ThreadedHostExecutionIsIdentical)
     Netlist nl = makeSr(2);
     Interpreter ref(nl);
     CompilerOptions opt = smallMachine(1, 64);
-    opt.machine.hostThreads = 4;
+    opt.threads = 4;
     // Pin real workers: the default clamp to hardware concurrency
     // would silently serialize this on small CI hosts.
-    opt.machine.maxHostWorkers = 4;
+    opt.exec.maxWorkers = 4;
     auto sim = compile(std::move(nl), opt);
+    EXPECT_EQ(sim->machine().numWorkers(), 4u);
     expectEquivalent(*sim, ref, 80, 40);
 }

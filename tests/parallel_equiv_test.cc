@@ -1,10 +1,10 @@
 /**
  * @file
  * Multithreaded differential fuzz for the BSP host runtime: the
- * persistent-pool IpuMachine and the ParallelInterpreter must be
- * bit-identical to the reference interpreter at every tested thread
- * count, over random netlists whose colliding write ports make any
- * ordering bug in the parallel commit phase observable. Also checks
+ * pooled IpuMachine and ParallelInterpreter (one ShardEngine driver)
+ * must be bit-identical to the reference interpreter at every tested
+ * thread count, over random netlists whose colliding write ports make
+ * any ordering bug in the parallel commit phase observable. Also checks
  * the host-facing extras (poke, reset, checkpoint) of the new engine
  * and the BspPool itself.
  */
@@ -164,8 +164,8 @@ TEST_P(ParallelEquiv, PooledMachineMatchesReference)
     for (uint32_t threads : {1u, 2u, 8u}) {
         core::CompilerOptions opt;
         opt.tilesPerChip = 24;
-        opt.machine.hostThreads = threads;
-        opt.machine.maxHostWorkers = threads;
+        opt.threads = threads;
+        opt.exec.maxWorkers = threads;
         auto sim = core::compile(Netlist(nl), opt);
         sim->step(40);
         compareAllState(sim->machine(), ref, "ipu");
@@ -317,24 +317,6 @@ TEST(ParallelEquiv, EngineFactoryBuildsEveryKind)
     EXPECT_THROW(core::parseEngineKind("event"), FatalError);
 }
 
-TEST(BspPool, ForEachCoversEveryIndexExactlyOnce)
-{
-    for (uint32_t threads : {1u, 2u, 3u, 8u}) {
-        util::BspPool pool(threads);
-        for (size_t n : {size_t{0}, size_t{1}, size_t{5}, size_t{64}}) {
-            std::vector<std::atomic<uint32_t>> hits(n);
-            pool.forEach(n, [&](size_t b, size_t e) {
-                for (size_t i = b; i < e; ++i)
-                    hits[i].fetch_add(1);
-            });
-            for (size_t i = 0; i < n; ++i)
-                ASSERT_EQ(hits[i].load(), 1u)
-                    << "threads=" << threads << " n=" << n
-                    << " i=" << i;
-        }
-    }
-}
-
 TEST(BspPool, ManySuperstepsKeepWorkersInLockstep)
 {
     util::BspPool pool(4);
@@ -476,43 +458,72 @@ TEST(BspPool, BatchDispatchCrossesInnerBarriersInOneEpoch)
     pool.setWaitObserver(nullptr);
 }
 
+namespace {
+
+/**
+ * A multi-worker step(n) is one pool dispatch per batch: every worker
+ * passes the pool's epoch machinery exactly once per batch, never once
+ * per cycle or per phase. @p whole and @p batched (built with --batch
+ * 3) run on @p pool, whose wait observer the test owns (a shared-pool
+ * engine never installs its own).
+ */
+void
+expectOneEpochPerBatch(const Netlist &nl, core::SimEngine &whole,
+                       core::SimEngine &batched, util::BspPool &pool,
+                       const EpochCounter &obs, const char *what)
+{
+    ASSERT_GE(dynamic_cast<rtl::ShardEngine &>(whole).numShards(), 2u)
+        << what;
+    ASSERT_GE(dynamic_cast<rtl::ShardEngine &>(batched).numShards(), 2u)
+        << what;
+    Interpreter ref(nl);
+
+    // A worker that parked before the observer was installed reports
+    // its first release to nobody; one warm-up batch re-parks it.
+    whole.step(1);
+    ref.step(1);
+    for (size_t n : {size_t{1}, size_t{7}, size_t{64}}) {
+        const uint32_t before = obs.ends.load();
+        whole.step(n);
+        ref.step(n);
+        EXPECT_EQ(obs.ends.load() - before, pool.threads())
+            << what << ": step(" << n << ")";
+    }
+    compareAllState(whole, ref, what);
+
+    // With --batch 3, step(7) is three batches: 3 + 3 + 1 cycles.
+    const uint32_t before = obs.ends.load();
+    batched.step(7);
+    EXPECT_EQ(obs.ends.load() - before, 3 * pool.threads()) << what;
+}
+
+} // namespace
+
 TEST(ParallelEquiv, BatchIsOnePoolEpoch)
 {
-    // A multi-worker step(n) is one pool dispatch per batch: every
-    // worker passes the pool's epoch machinery exactly once per batch,
-    // never once per cycle or per phase. Counted on a shared pool
-    // whose wait observer the test owns (a shared-pool engine never
-    // installs its own).
     Netlist nl = randomNetlist(3, collidingConfig());
     EpochCounter obs;
     auto pool = std::make_shared<util::BspPool>(2);
     pool->setWaitObserver(&obs);
+
     rtl::ParConfig whole;
     whole.pool = pool;
     rtl::ParConfig split = whole;
     split.batch = 3;
     ParallelInterpreter par(nl, 2, rtl::LowerOptions{}, whole);
-    ParallelInterpreter batched(nl, 2, rtl::LowerOptions{}, split);
+    ParallelInterpreter parBatched(nl, 2, rtl::LowerOptions{}, split);
     ASSERT_EQ(par.numShards(), 2u);
-    ASSERT_EQ(batched.numShards(), 2u);
-    Interpreter ref(nl);
+    ASSERT_EQ(parBatched.numShards(), 2u);
+    expectOneEpochPerBatch(nl, par, parBatched, *pool, obs, "par");
 
-    // A worker that parked before the observer was installed reports
-    // its first release to nobody; one warm-up batch re-parks it.
-    par.step(1);
-    ref.step(1);
-    for (size_t n : {size_t{1}, size_t{7}, size_t{64}}) {
-        const uint32_t before = obs.ends.load();
-        par.step(n);
-        ref.step(n);
-        EXPECT_EQ(obs.ends.load() - before, pool->threads())
-            << "step(" << n << ")";
-    }
-    compareAllState(par, ref, "one epoch per batch");
-
-    // With --batch 3, step(7) is three batches: 3 + 3 + 1 cycles.
-    const uint32_t before = obs.ends.load();
-    batched.step(7);
-    EXPECT_EQ(obs.ends.load() - before, 3 * pool->threads());
+    // The ipu engine steps on the same driver, shared pool included.
+    core::EngineOptions eopt;
+    eopt.kind = core::EngineKind::Ipu;
+    eopt.threads = 2;
+    eopt.pool = pool;
+    auto ipu = core::makeEngine(Netlist(nl), eopt);
+    eopt.batch = 3;
+    auto ipuBatched = core::makeEngine(Netlist(nl), eopt);
+    expectOneEpochPerBatch(nl, *ipu, *ipuBatched, *pool, obs, "ipu");
     pool->setWaitObserver(nullptr);
 }

@@ -212,8 +212,8 @@ TEST(Serve, CheckpointRestoreOverTheWire)
 
 TEST(Serve, MultiSessionDifferential)
 {
-    // K concurrent sessions (a pico core and a bitcoin miner among
-    // them), each driven by its own client thread in interleaved
+    // K concurrent sessions (a pico core, a bitcoin miner and an ipu
+    // machine on the same shared pool among them), each driven by its own client thread in interleaved
     // odd-sized batches through the shared-pool DRR scheduler, must
     // land bit-identical to a sequential single-engine run.
     const struct
@@ -227,6 +227,7 @@ TEST(Serve, MultiSessionDifferential)
         {"bitcoin", "par", 400, 53},
         {"pico", "interp", 600, 101},
         {"sr4", "par", 900, 64},
+        {"sr4", "ipu", 500, 45},
     };
     const size_t K = sizeof(plan) / sizeof(plan[0]);
 
@@ -239,7 +240,9 @@ TEST(Serve, MultiSessionDifferential)
     }
 
     std::vector<std::thread> drivers;
-    std::vector<bool> ok(K, false);
+    // One byte per driver: neighbouring std::vector<bool> elements
+    // share a word, so concurrent writes to them would race.
+    std::vector<uint8_t> ok(K, 0);
     for (size_t i = 0; i < K; ++i) {
         drivers.emplace_back([&, i] {
             serve::Client c;
@@ -253,7 +256,7 @@ TEST(Serve, MultiSessionDifferential)
                     return;
                 done += n;
             }
-            ok[i] = true;
+            ok[i] = 1;
         });
     }
     for (auto &t : drivers)
