@@ -146,7 +146,11 @@ makeEngine(rtl::Netlist nl, const EngineOptions &opt)
         break;
       }
       case EngineKind::Ipu: {
+        // Like the other engines, ipu runs the netlist as given:
+        // optimizing here could drop ports (a dead input) that the
+        // caller pokes.
         CompilerOptions copt;
+        copt.optimize = false;
         copt.lower = opt.lower;
         copt.threads = opt.threads;
         copt.exec = pcfg;

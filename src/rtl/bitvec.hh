@@ -28,17 +28,29 @@ constexpr uint32_t kMaxWidth = 4096;
 /**
  * A value of a fixed bit width. All operations keep the value normalized:
  * bits above `width` are always zero.
+ *
+ * A value of 64 bits or fewer lives inline (no heap block; most ports
+ * and registers are that narrow). A wider one lives in a heap buffer,
+ * which assign() reuses while its capacity suffices, also for a
+ * narrower value.
  */
 class BitVec
 {
   public:
-    BitVec() : width_(0) {}
+    BitVec() : width_(0), cap_(0), inline_(0) {}
 
     /** A @p width bit value initialized from a uint64 (truncated). */
     explicit BitVec(uint32_t width, uint64_t value = 0);
 
-    /** A @p width bit value from little-endian 64-bit words. */
-    BitVec(uint32_t width, std::vector<uint64_t> words);
+    /** A @p width bit value from little-endian 64-bit words (missing
+     *  words read as zero, extra ones are dropped). */
+    BitVec(uint32_t width, const std::vector<uint64_t> &words);
+
+    BitVec(const BitVec &o);
+    BitVec(BitVec &&o) noexcept;
+    BitVec &operator=(const BitVec &o);
+    BitVec &operator=(BitVec &&o) noexcept;
+    ~BitVec();
 
     /** Re-initialize in place from @p n little-endian words, reusing
      *  the existing buffer (no allocation once capacity suffices);
@@ -49,12 +61,11 @@ class BitVec
     uint32_t numWords() const { return wordsFor(width_); }
 
     /** Low 64 bits of the value. */
-    uint64_t toUint64() const { return words_.empty() ? 0 : words_[0]; }
+    uint64_t toUint64() const { return width_ ? data()[0] : 0; }
 
-    uint64_t word(uint32_t i) const { return words_[i]; }
-    const std::vector<uint64_t> &words() const { return words_; }
+    uint64_t word(uint32_t i) const { return data()[i]; }
 
-    bool bit(uint32_t i) const { return (words_[i >> 6] >> (i & 63)) & 1; }
+    bool bit(uint32_t i) const { return (data()[i >> 6] >> (i & 63)) & 1; }
     void setBit(uint32_t i, bool v);
 
     bool isZero() const;
@@ -72,8 +83,19 @@ class BitVec
     void normalize();
 
   private:
+    const uint64_t *data() const { return cap_ ? heap_ : &inline_; }
+    uint64_t *data() { return cap_ ? heap_ : &inline_; }
+    /** Set the width and make room for its words (contents
+     *  unspecified), reusing the heap buffer when it is large enough. */
+    void reshape(uint32_t width);
+
     uint32_t width_;
-    std::vector<uint64_t> words_;
+    uint32_t cap_;          ///< heap buffer words; 0 = value is inline
+    union
+    {
+        uint64_t inline_;
+        uint64_t *heap_;
+    };
 };
 
 } // namespace parendi::rtl

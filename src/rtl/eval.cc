@@ -806,12 +806,9 @@ EvalState::markMemReadersDirty(uint32_t memIndex)
 BitVec
 EvalState::readSlot(uint32_t slot, uint16_t width, uint32_t lane) const
 {
-    uint32_t n = nw(width);
-    const uint64_t *p = &slots_[uint64_t(slot) * lanes_ + lane];
-    std::vector<uint64_t> words(n);
-    for (uint32_t i = 0; i < n; ++i)
-        words[i] = p[i * lanes_];
-    return BitVec(width, std::move(words));
+    BitVec v;
+    readSlotInto(slot, width, v, lane);
+    return v;
 }
 
 void
@@ -856,14 +853,16 @@ EvalState::readMemEntry(uint32_t memIndex, uint64_t index, uint16_t width,
                         uint32_t lane) const
 {
     const ProgMem &pm = prog_.mems[memIndex];
-    std::vector<uint64_t> words(pm.entryWords, 0);
-    if (index < pm.depth) {
-        const uint64_t *p =
-            &mems_[memIndex][(index * pm.entryWords) * lanes_ + lane];
-        for (uint32_t i = 0; i < pm.entryWords; ++i)
-            words[i] = p[i * lanes_];
-    }
-    return BitVec(width, std::move(words));
+    if (index >= pm.depth)
+        return BitVec(width);
+    const uint64_t *p =
+        &mems_[memIndex][(index * pm.entryWords) * lanes_ + lane];
+    uint64_t words[nw(kMaxWidth)];
+    for (uint32_t i = 0; i < pm.entryWords; ++i)
+        words[i] = p[i * lanes_];
+    BitVec v;
+    v.assign(width, words, pm.entryWords);
+    return v;
 }
 
 void

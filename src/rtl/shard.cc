@@ -555,22 +555,24 @@ ShardSet::stepCycles(util::BspPool *pool, uint64_t n)
         publishAll();
         pubValid_ = true;
     }
-    if (!inner_ || inner_->parties() != nw)
-        inner_ = std::make_unique<util::SpinBarrier>(nw);
+    if (!arrivals_)
+        arrivals_ = std::make_unique<util::ProgressCounter>();
 
     // One pool dispatch for the whole batch: each worker runs its
-    // statically assigned shard range through all n cycles, with the
-    // in-dispatch SpinBarrier as the single synchronization point per
-    // cycle. The barrier both orders the publish-buffer flip (cycle
-    // c+1 writes the buffer cycle c read) and separates cycles, so
-    // no other fence is needed.
+    // statically assigned shard range through all n cycles, and the
+    // end of every cycle is one barrier on arrivals_ (every worker
+    // adds 1, then waits for all nw arrivals of this cycle). The
+    // barrier both orders the publish-buffer flip (cycle c+1 writes
+    // the buffer cycle c read) and separates cycles, so no other
+    // fence is needed.
     const uint64_t baseCycle = prof_ ? prof_->cyclesSeen() : 0;
     const uint64_t every = prof_ ? prof_->options().sampleEvery : 0;
     const size_t nshards = size();
     const size_t chunk = (nshards + nw - 1) / nw;
     const uint32_t basePar = pubRead_;
+    const uint32_t baseArrivals = arrivalsSeen_;
     obs::SuperstepProfiler *prof = prof_;
-    util::SpinBarrier *bar = inner_.get();
+    util::ProgressCounter *arrivals = arrivals_.get();
     pool->run([=, this](uint32_t w) {
         const size_t b = std::min(nshards, w * chunk);
         const size_t e = std::min(nshards, b + chunk);
@@ -588,19 +590,16 @@ ShardSet::stepCycles(util::BspPool *pool, uint64_t n)
                                 (basePar + static_cast<uint32_t>(c)) &
                                     1u);
             const uint64_t t0 = sampled ? obs::tick() : 0;
-            bar->arriveAndWait();
-            if (sampled) {
-                const uint64_t t1 = obs::tick();
-                prof->recordBarrierWait(w, t0, t1, cyc);
-                // Close the adaptive loop: measured inter-arrival
-                // times retune the barrier's spin budget.
-                bar->observeWaitNs(static_cast<uint64_t>(
-                    obs::ticksToSeconds(t1 - t0) * 1e9));
-            }
+            arrivals->add(1);
+            arrivals->waitFor(baseArrivals +
+                              nw * static_cast<uint32_t>(c + 1));
+            if (sampled)
+                prof->recordBarrierWait(w, t0, obs::tick(), cyc);
             if (w == 0)
                 profileCycleEnd();
         }
     });
+    arrivalsSeen_ += nw * static_cast<uint32_t>(n);
     pubRead_ = (pubRead_ + static_cast<uint32_t>(n & 1)) & 1u;
 }
 

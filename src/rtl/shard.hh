@@ -43,7 +43,12 @@
  * from the stable cycle-c buffer while publishing into the other one,
  * so commit/latch/exchange/eval/publish all run back-to-back per
  * shard with no intervening barrier; a single end-of-cycle barrier
- * flips the buffers. Collision order is preserved because replica
+ * flips the buffers. The barrier is one util::ProgressCounter that
+ * every worker advances at the end of a cycle and then waits on until
+ * all have. Waiting only on exchange peers instead would gain nothing
+ * on the measured designs: with static contiguous shard ranges every
+ * worker reads data of every other on sr4, sr8 and bitcoin, so the
+ * peer graph is complete. Collision order is preserved because replica
  * application still walks ascending global port order against
  * identical records, so the result is bit-identical to stepCycle at
  * any worker count. Any out-of-band state mutation (poke, reset,
@@ -64,10 +69,7 @@
 #include "obs/profiler.hh"
 #include "rtl/eval.hh"
 #include "rtl/netlist.hh"
-
-namespace parendi::util {
-class BspPool;
-}
+#include "util/bsp_pool.hh"
 
 namespace parendi::rtl {
 
@@ -151,8 +153,9 @@ class ShardSet
      * wider than one and more than one shard) the whole batch is one
      * pool dispatch: every worker executes its shards'
      * commit/latch/exchange/eval/publish back-to-back each cycle and
-     * cycles are separated by a single in-dispatch SpinBarrier — one
-     * barrier per cycle and one pool epoch per batch. Otherwise this
+     * cycles are separated by a single barrier on one
+     * util::ProgressCounter — one barrier per cycle and one pool epoch
+     * per batch. Otherwise this
      * is n calls to stepCycle, where fusion has no barriers to remove
      * and the in-place cycle is cheaper than publishing. Bit-identical
      * either way, at any worker count and batch size.
@@ -321,9 +324,12 @@ class ShardSet
     std::vector<uint64_t> pub_[2];
     uint32_t pubRead_ = 0;
     bool pubValid_ = false;
-    /// in-dispatch barrier for batched fused cycles (sized lazily to
-    /// the pool's worker count)
-    std::unique_ptr<util::SpinBarrier> inner_;
+    /// per-cycle barrier of fused batches (made at the first one):
+    /// every worker adds 1 at the end of each cycle and waits for all
+    /// of that cycle's arrivals
+    std::unique_ptr<util::ProgressCounter> arrivals_;
+    /// arrivals_'s value between batches
+    uint32_t arrivalsSeen_ = 0;
 
     /// input port -> [(shard, slot)] replicas
     std::vector<std::vector<std::pair<uint32_t, uint32_t>>> inputSlots_;

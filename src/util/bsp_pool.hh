@@ -1,24 +1,24 @@
 /**
  * @file
- * A persistent BSP worker pool: N host workers (the calling thread is
- * worker 0) that execute one superstep at a time, separated by a
- * sense-reversing barrier. This is the host-side analogue of the IPU's
- * hardware barrier: the static shard/tile partition of a compiled BSP
- * simulation maps onto persistent workers with cheap barriers instead
- * of per-cycle thread spawns (which cost tens of microseconds each and
- * dominated the seed implementation's threaded step).
+ * The host BSP runtime's synchronization: one wait primitive
+ * (ProgressCounter) and a persistent worker pool built on it.
  *
- * The barrier is two-phase:
+ * BspPool runs N host workers (the calling thread is worker 0) that
+ * execute one dispatch at a time. This is the host-side analogue of
+ * the IPU's hardware barrier: the static shard/tile partition of a
+ * compiled BSP simulation maps onto persistent workers instead of
+ * per-cycle thread spawns (which cost tens of microseconds each and
+ * dominated the seed implementation's threaded step). A dispatch is
+ * two counters:
  *  - release: the caller publishes the job and advances the epoch
- *    counter (the generalized sense flag — workers wait for the epoch
- *    to differ from the one they last observed, so consecutive
- *    supersteps can never be confused);
- *  - arrival: each worker increments a completion counter; the caller
- *    waits until all have arrived.
+ *    counter; worker w waits for the epoch to reach the one after the
+ *    last it ran, so consecutive dispatches can never be confused;
+ *  - arrival: each worker advances a cumulative completion counter;
+ *    the caller waits until it reaches N - 1 per dispatch so far.
  *
- * Waiters spin briefly, then fall back to C++20 atomic futex waits so
- * the pool behaves on oversubscribed hosts (e.g. 8 workers on 1 core)
- * instead of burning a timeslice per waiter per phase.
+ * Inside a dispatch, rtl::ShardSet separates the cycles of a batch
+ * with a barrier on one more ProgressCounter (see rtl/shard.hh), so a
+ * multi-cycle batch costs one pool epoch.
  */
 
 #ifndef PARENDI_UTIL_BSP_POOL_HH
@@ -33,64 +33,67 @@
 namespace parendi::util {
 
 /**
- * In-dispatch sense-reversing barrier for multi-cycle batch dispatch:
- * when a k-cycle batch runs inside a single BspPool::run, the workers
- * separate consecutive simulated cycles with this barrier instead of
- * returning to the pool's epoch machinery — no job republication, no
- * completion counter reset by the caller, and in the common case no
- * futex round-trip at all.
+ * A counter that threads advance and wait on: the single wait
+ * primitive of the host BSP runtime (the pool's epochs and arrivals,
+ * and the shard set's per-cycle barrier).
  *
- * The spin budget adapts on two signals:
- *  - internally: a waiter that had to sleep halves the budget (once
- *    the futex engages, inter-arrival is far beyond any useful spin —
- *    typically an oversubscribed host), while a wait satisfied early
- *    in the spin window nudges the budget back up;
- *  - externally: observeWaitNs() feeds measured inter-arrival times
- *    (the profiler's sampled barrier waits) into an EMA that re-seeds
- *    the budget, so a phase change in the workload retunes the
- *    barrier even when the internal signal is saturated.
+ * The value is a wrapping 32-bit count, compared by serial-number
+ * arithmetic (reached()), so it may run forever as long as a waiter's
+ * target is within 2^31 of the value — every user waits at most one
+ * round of advances ahead. The counter owns a full cache line, so
+ * two counters never share one.
  *
- * All parties must call arriveAndWait() the same number of times; the
- * last arrival of each generation releases the rest.
+ * waitFor() spins with a CPU pause for a fixed time bound (about the
+ * longest wait a dedicated core should absorb without a syscall),
+ * then registers as a sleeper and blocks in C++20 atomic::wait (a
+ * futex). A writer calls notify_all only when a sleeper is registered,
+ * so the common, spun-out case costs the writer one extra load. Every
+ * advance is a release: whatever the writer wrote before it is visible
+ * to a waiter that has seen the new value.
  */
-class SpinBarrier
+class alignas(64) ProgressCounter
 {
   public:
-    explicit SpinBarrier(uint32_t parties);
-
-    SpinBarrier(const SpinBarrier &) = delete;
-    SpinBarrier &operator=(const SpinBarrier &) = delete;
-
-    /** Block until all parties have arrived at this generation. */
-    void arriveAndWait();
-
-    uint32_t parties() const { return parties_; }
-
-    /** Completed generations (== inner barriers crossed). */
-    uint64_t
-    generations() const
+    /** Advance by @p d (any number of concurrent writers). */
+    void
+    add(uint32_t d)
     {
-        return gen_.load(std::memory_order_relaxed);
+        value_.fetch_add(d, std::memory_order_seq_cst);
+        wake();
     }
 
-    /** Feed one measured barrier-wait duration (nanoseconds) into the
-     *  adaptive spin budget. Thread-safe; call from any party. */
-    void observeWaitNs(uint64_t ns);
+    /** Block until the value has reached @p target. */
+    void waitFor(uint32_t target) const;
 
-    /** Current spin budget in iterations (tuning/test visibility). */
-    uint32_t
-    spinBudget() const
+    /** True when the value has reached @p target (no wait). */
+    bool
+    reached(uint32_t target) const
     {
-        return spinBudget_.load(std::memory_order_relaxed);
+        return reached(value_.load(std::memory_order_acquire), target);
     }
 
   private:
-    const uint32_t parties_;
-    std::atomic<uint32_t> count_{0};
-    std::atomic<uint64_t> gen_{0};
-    std::atomic<uint32_t> sleepers_{0};
-    std::atomic<uint32_t> spinBudget_;
-    std::atomic<uint64_t> emaWaitNs_{0};
+    /** True when @p value has reached @p target on the wrapping
+     *  count. */
+    static bool
+    reached(uint32_t value, uint32_t target)
+    {
+        return static_cast<int32_t>(value - target) >= 0;
+    }
+
+    void
+    wake()
+    {
+        // seq_cst pairs with the waiter's seq_cst sleepers_ increment
+        // and value recheck: either the waiter's increment precedes
+        // this load (we notify) or the value store precedes its
+        // recheck (it never sleeps) — no lost wakeup either way.
+        if (sleepers_.load(std::memory_order_seq_cst) != 0)
+            value_.notify_all();
+    }
+
+    std::atomic<uint32_t> value_{0};
+    mutable std::atomic<uint32_t> sleepers_{0};
 };
 
 /**
@@ -136,7 +139,7 @@ class BspPool
     uint32_t threads() const { return nthreads_; }
 
     /** One superstep: run job(worker) on every worker concurrently and
-     *  return once all are done (the barrier). The job must only write
+     *  return once all are done (the join). The job must only write
      *  state private to its worker index — that is the BSP contract. */
     void run(const std::function<void(uint32_t worker)> &job);
 
@@ -149,13 +152,17 @@ class BspPool
 
   private:
     void workerLoop(uint32_t worker);
-    void awaitEpoch(uint64_t seen, uint32_t worker);
+    /** @p counter.waitFor(@p target), bracketed by the wait observer's
+     *  hooks for @p worker. */
+    void observedWait(const ProgressCounter &counter, uint32_t target,
+                      uint32_t worker);
 
     uint32_t nthreads_;
     std::vector<std::thread> workers_;
 
-    std::atomic<uint64_t> epoch_{0};        ///< release barrier (sense)
-    std::atomic<uint32_t> arrived_{0};      ///< arrival barrier
+    ProgressCounter epoch_;         ///< release: dispatches published
+    ProgressCounter arrived_;       ///< arrival: cumulative completions
+    uint32_t arrivalTarget_ = 0;    ///< arrived_ value ending this run
     std::atomic<bool> stop_{false};
     const std::function<void(uint32_t)> *job_ = nullptr;
     std::atomic<BspWaitObserver *> observer_{nullptr};

@@ -284,7 +284,7 @@ TEST(EvalStructure, ConcatSliceExtend)
     uint64_t cat = (0xabcdefull << 40) | 0x1234567890ull;
     EXPECT_EQ(in.peek("mid"), BitVec(14, (cat >> 33) & 0x3fff));
     EXPECT_EQ(in.peek("zx").toUint64(), 0xabcdefull);
-    EXPECT_TRUE(in.peek("zx").words()[1] == 0);
+    EXPECT_TRUE(in.peek("zx").word(1) == 0);
     // 0xabcdef has bit 23 set -> sign extension fills above.
     BitVec sx = in.peek("sx");
     EXPECT_EQ(sx.toUint64() & 0xffffff, 0xabcdefull);

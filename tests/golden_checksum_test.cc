@@ -47,8 +47,8 @@ void
 fnvBits(uint64_t &h, const BitVec &v)
 {
     fnv(h, v.width());
-    for (uint64_t w : v.words())
-        fnv(h, w);
+    for (uint32_t i = 0; i < v.numWords(); ++i)
+        fnv(h, v.word(i));
 }
 
 uint64_t

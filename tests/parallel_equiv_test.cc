@@ -357,55 +357,6 @@ TEST(ParallelInterpreter, PokeBetweenFusedBatchesIsVisible)
     }
 }
 
-TEST(SpinBarrier, ReleasesEveryPartyEachGeneration)
-{
-    constexpr uint32_t kParties = 4;
-    constexpr int kRounds = 300;
-    util::SpinBarrier bar(kParties);
-    std::atomic<uint32_t> arrived{0};
-    std::vector<std::thread> threads;
-    threads.reserve(kParties);
-    for (uint32_t p = 0; p < kParties; ++p) {
-        threads.emplace_back([&]() {
-            for (int r = 0; r < kRounds; ++r) {
-                arrived.fetch_add(1);
-                bar.arriveAndWait();
-                // All parties of round r incremented before anyone
-                // passes the barrier (later rounds may have started).
-                ASSERT_GE(arrived.load(),
-                          kParties * static_cast<uint32_t>(r + 1));
-            }
-        });
-    }
-    for (std::thread &t : threads)
-        t.join();
-    EXPECT_EQ(bar.generations(), static_cast<uint64_t>(kRounds));
-    EXPECT_EQ(arrived.load(), kParties * kRounds);
-}
-
-TEST(SpinBarrier, AdaptiveBudgetStaysBoundedAndTracksWaits)
-{
-    util::SpinBarrier bar(1);
-    const uint32_t initial = bar.spinBudget();
-    EXPECT_GT(initial, 0u);
-    // Long observed waits saturate the budget at its upper bound;
-    // near-zero waits pull it back to the lower bound. Both bounds
-    // must hold no matter how extreme the inputs.
-    for (int i = 0; i < 64; ++i)
-        bar.observeWaitNs(50'000'000);
-    const uint32_t high = bar.spinBudget();
-    EXPECT_GE(high, initial);
-    for (int i = 0; i < 64; ++i)
-        bar.observeWaitNs(0);
-    const uint32_t low = bar.spinBudget();
-    EXPECT_LE(low, high);
-    EXPECT_GT(low, 0u);
-    // A single party never blocks; generations still advance.
-    bar.arriveAndWait();
-    bar.arriveAndWait();
-    EXPECT_EQ(bar.generations(), 2u);
-}
-
 namespace {
 
 /** Counts pool-epoch wait pairs (one per worker per run()). */
@@ -422,33 +373,35 @@ struct EpochCounter final : util::BspWaitObserver
 TEST(BspPool, BatchDispatchCrossesInnerBarriersInOneEpoch)
 {
     // The multi-cycle batch shape: one pool.run() dispatch whose
-    // workers separate k inner cycles with a SpinBarrier. The pool's
-    // own epoch machinery (and its wait observer) must fire once per
-    // dispatch, not once per inner cycle — that is the entire point
-    // of batching.
+    // workers separate k inner cycles with a barrier on one progress
+    // counter (every worker adds 1, then waits for all arrivals of the
+    // cycle), as ShardSet::stepCycles does. The pool's own epoch
+    // machinery (and its wait observer) must fire once per dispatch,
+    // not once per inner cycle — that is the entire point of batching.
     constexpr uint32_t kWorkers = 3;
     constexpr uint32_t kBatches = 4;
-    constexpr int kInner = 17;
+    constexpr uint32_t kInner = 17;
     // Declared before the pool: a worker still parked in its wait holds
     // the observer pointer until the pool's destructor releases it.
     EpochCounter obs;
     util::BspPool pool(kWorkers);
     pool.setWaitObserver(&obs);
-    util::SpinBarrier inner(kWorkers);
+    util::ProgressCounter arrivals;
     std::vector<uint64_t> perWorker(kWorkers, 0);
     for (uint32_t b = 0; b < kBatches; ++b)
         pool.run([&](uint32_t w) {
-            for (int c = 0; c < kInner; ++c) {
+            for (uint32_t c = 0; c < kInner; ++c) {
                 perWorker[w] += 1;
-                inner.arriveAndWait();
+                arrivals.add(1);
+                arrivals.waitFor(kWorkers * (b * kInner + c + 1));
             }
         });
     for (uint32_t w = 0; w < kWorkers; ++w)
         EXPECT_EQ(perWorker[w],
                   static_cast<uint64_t>(kBatches) * kInner);
-    // Every inner cycle crossed the in-dispatch barrier...
-    EXPECT_EQ(inner.generations(),
-              static_cast<uint64_t>(kBatches) * kInner);
+    // Every inner cycle crossed the in-dispatch barrier, and no more...
+    EXPECT_TRUE(arrivals.reached(kWorkers * kBatches * kInner));
+    EXPECT_FALSE(arrivals.reached(kWorkers * kBatches * kInner + 1));
     // ...while the pool's epoch machinery fired one wait pair per
     // worker per *dispatch* (give or take the workers still entering
     // their next wait when run() returns) — never per inner cycle.

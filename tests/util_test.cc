@@ -1,13 +1,16 @@
 /**
  * @file
  * Unit tests for the utility layer: DenseBitset algebra, the RNG,
- * the table printer, logging/error behaviour, and the BspPool
- * barrier-wait observer hooks.
+ * the table printer, logging/error behaviour, the ProgressCounter
+ * wait primitive and the BspPool barrier-wait observer hooks.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstdlib>
+#include <thread>
 #include <vector>
 
 #include "util/bitset.hh"
@@ -156,6 +159,74 @@ TEST(Logging, QuietSuppressesInform)
 TEST(Logging, Strprintf)
 {
     EXPECT_EQ(strprintf("%s-%03d", "x", 7), "x-007");
+}
+
+TEST(ProgressCounter, TwoThreadsPingPongOneCounter)
+{
+    // Each side waits for the other's advance, then advances: 100k
+    // hand-offs of one counter. The plain payload is handed across
+    // with it, so a missing release/acquire edge shows as a lost
+    // increment (or a race under TSan).
+    constexpr uint32_t kRounds = 100'000;
+    util::ProgressCounter turn;
+    uint64_t payload = 0;
+    auto side = [&](uint32_t parity) {
+        for (uint32_t i = 0; i < kRounds; ++i) {
+            const uint32_t mine = 2 * i + parity;
+            turn.waitFor(mine);
+            ++payload;
+            turn.add(1);
+        }
+    };
+    std::thread other(side, 1u);
+    side(0);
+    other.join();
+    EXPECT_TRUE(turn.reached(2 * kRounds));
+    EXPECT_FALSE(turn.reached(2 * kRounds + 1));
+    EXPECT_EQ(payload, 2u * kRounds);
+}
+
+TEST(ProgressCounter, SleepingWaitersAreWoken)
+{
+    // Waiters outlast the spin bound, register as sleepers and block;
+    // the single advance must wake every one of them (no lost wakeup).
+    constexpr int kWaiters = 2;
+    for (uint32_t round = 1; round <= 3; ++round) {
+        util::ProgressCounter c;
+        std::atomic<int> woke{0};
+        std::vector<std::thread> waiters;
+        for (int i = 0; i < kWaiters; ++i)
+            waiters.emplace_back([&]() {
+                c.waitFor(round);
+                woke.fetch_add(1);
+            });
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        EXPECT_EQ(woke.load(), 0);
+        c.add(round);
+        const auto limit =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (woke.load() < kWaiters &&
+               std::chrono::steady_clock::now() < limit)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        if (woke.load() != kWaiters) {
+            ADD_FAILURE() << "a sleeping waiter was never woken";
+            std::_Exit(1);  // the waiter cannot be joined
+        }
+        for (std::thread &t : waiters)
+            t.join();
+        EXPECT_TRUE(c.reached(round));
+        EXPECT_FALSE(c.reached(round + 1));
+    }
+    // The wrapping comparison: a target just short of 2^32 is reached
+    // by a value that wrapped around zero, and not the other way round.
+    util::ProgressCounter w;
+    w.add(UINT32_MAX);
+    EXPECT_TRUE(w.reached(UINT32_MAX));
+    EXPECT_FALSE(w.reached(3));
+    w.add(4);
+    EXPECT_TRUE(w.reached(3));
+    EXPECT_TRUE(w.reached(UINT32_MAX));
+    EXPECT_FALSE(w.reached(4));
 }
 
 namespace {
